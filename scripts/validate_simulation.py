@@ -32,12 +32,14 @@ CHURN_CASES = [
 def _row(comparison, label: str) -> str:
     report = comparison.report
     flag = " FLAGGED" if comparison.flagged else ""
+    z = comparison.z_score
+    z_text = "undefined" if z is None else f"{z:+.2f}"
     return (
         f"{label:<34} alpha={comparison.alpha:<5d}"
         f" analytic={comparison.epsilon_analytic:.6g}"
         f" empirical={comparison.epsilon_empirical:.6g}"
         f" ci=[{report.ci_low:.6g}, {report.ci_high:.6g}]"
-        f" z={comparison.z_score:+.2f}{flag}"
+        f" z={z_text}{flag}"
     )
 
 

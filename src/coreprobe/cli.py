@@ -13,12 +13,13 @@ Conventions, shared by every subcommand:
   (alpha = 0).
 * The replaced-node count is alpha = ceil(C*n); the same ceiling applies
   per time unit in the churn-process simulation.
-* Exit codes: 0 success, 2 usage or domain error, 3 infeasible solver
-  target, 4 simulation z-check failure under --check.
-* --json emits a canonical record (sorted keys, two-space indent) that
-  re-serializes to identical bytes after a parse round trip.  CSV output
-  uses LF line endings, no quoting, and 17 significant digits for
-  floats.
+* Exit codes: 0 success, 2 usage or domain error (including inputs too
+  large for memory), 3 infeasible solver target, 4 simulation z-check
+  failure under --check.
+* --json emits a canonical record (sorted keys, two-space indent, no
+  NaN or Infinity; an undefined z-score is null) that re-serializes to
+  identical bytes after a parse round trip.  CSV output uses LF line
+  endings, no quoting, and 17 significant digits for floats.
 """
 
 from __future__ import annotations
@@ -80,12 +81,15 @@ def _domain_guard(fn):
         except (ValueError, OverflowError) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
+        except MemoryError as exc:
+            click.echo(f"error: out of memory: {exc}", err=True)
+            sys.exit(2)
 
     return wrapper
 
 
 def _emit_json(record) -> None:
-    click.echo(json.dumps(record, sort_keys=True, indent=2))
+    click.echo(json.dumps(record, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _f17(value: float) -> str:
@@ -618,9 +622,13 @@ def simulate(model, n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
             )
         click.echo(f"alpha (analytic) = {cmp.alpha}")
         click.echo(f"epsilon_analytic = {cmp.epsilon_analytic:.6g}")
-        click.echo(f"z = {cmp.z_score:.4g}")
+        click.echo("z = undefined" if cmp.z_score is None else f"z = {cmp.z_score:.4g}")
     if check and cmp.flagged:
-        click.echo(f"z-check failed: |z| = {abs(cmp.z_score):.4g} > 3", err=True)
+        if cmp.z_score is None:
+            reason = "z undefined (analytic standard error 0, estimate differs)"
+        else:
+            reason = f"|z| = {abs(cmp.z_score):.4g} > 3"
+        click.echo(f"z-check failed: {reason}", err=True)
         sys.exit(4)
 
 

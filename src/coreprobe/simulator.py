@@ -11,6 +11,14 @@ Two models:
   fresh ones; after delta units the probe is drawn.  This mode also
   tracks how many core members survived each trial.
 
+Only the q core slots decide a trial, so each replacement batch and the
+probe are simulated by which core slots they hit: ``_core_hits`` draws
+uniform k-subsets of range(n) exactly (selection sampling or Floyd's
+algorithm) but keeps only their intersection with the core.  Memory per
+block is O(block * q) plus a fixed budget of int32 draws per call,
+independent of n and of delta.  The draws themselves are simulated; no
+closed form is consulted.
+
 Determinism contract: trials are partitioned into fixed-size blocks and
 block b draws from ``SeedSequence(entropy=seed, spawn_key=(b,))``; block
 size depends only on n.  Aggregation is integer summation over blocks.
@@ -22,6 +30,7 @@ from __future__ import annotations
 
 import math
 import os
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,11 +65,15 @@ THREADS_ENV_VAR = "COREPROBE_THREADS"
 # Two-sided 99% standard normal quantile, for the Wilson interval.
 _Z99 = 2.5758293035489004
 
-# Block arrays hold roughly this many elements; the resulting block
-# size is a pure function of n, so reports do not depend on the machine.
+# Block size is a pure function of n, so reports do not depend on the
+# machine: 16384 trials up to n = 1024, then 2^24 / n down to 64.
 _BLOCK_ELEMENTS = 1 << 24
 _MIN_BLOCK = 64
 _MAX_BLOCK = 16384
+
+# Per-call budget of int32 values for the replacement samplers, so a
+# churn block's memory does not grow with delta.
+_CALL_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -142,14 +155,19 @@ class TrialReport:
 
 @dataclass(frozen=True)
 class AnalyticComparison:
-    """Empirical estimate side by side with the closed-form value."""
+    """Empirical estimate side by side with the closed-form value.
+
+    ``z_score`` is None when it is undefined: the analytic value is 0
+    or 1, so its standard error is 0, yet the estimate differs.  Such a
+    run is flagged.
+    """
 
     report: TrialReport
     alpha: int
     epsilon_analytic: float
     epsilon_empirical: float
-    z_score: float
-    flagged: bool  # |z| > 3
+    z_score: float | None
+    flagged: bool  # |z| > 3, or z undefined
 
 
 def wilson_interval(
@@ -183,64 +201,108 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     )
 
 
-class _PrefixSampler:
-    """Distinct-subset sampler shared by all trials of one block.
+def _selection_hits(
+    rng: np.random.Generator, size: int, n: int, k: int, m: int, units: int
+) -> np.ndarray:
+    """Knuth's selection sampling (Algorithm S) over slots 0..m-1.
 
-    One (block, n) index array is set up once; ``draw(k)`` runs a
-    partial Fisher-Yates shuffle of the k-prefix of every row with
-    fresh partner indices, copies the prefix out, then undoes the swaps
-    in reverse order.  Setup is O(block*n) once, each draw O(block*k).
+    Slot i joins a unit's k-subset with probability need/(n - i), where
+    ``need`` is the number of members that unit still lacks; drawing
+    ``integers(0, n - i) < need`` makes that exact.  m vectorised steps.
     """
+    hits = np.zeros((size, m), dtype=bool)
+    need = np.full((size, units), k, dtype=np.int32)
+    for i in range(m):
+        taken = rng.integers(0, n - i, size=(size, units), dtype=np.int32) < need
+        need -= taken
+        hits[:, i] = taken.any(axis=1)
+    return hits
 
-    def __init__(self, rng: np.random.Generator, block: int, n: int) -> None:
-        self._rng = rng
-        self._n = n
-        self._arr = np.tile(np.arange(n, dtype=np.int32), (block, 1))
-        self._rows = np.arange(block)
-        self._block = block
 
-    def draw(self, k: int) -> np.ndarray:
-        """A uniform random k-subset of range(n) per row, shape (block, k)."""
-        if not 0 <= k <= self._n:
-            raise ValueError(f"k must lie in [0, n={self._n}], got {k}")
-        arr, rows, rng = self._arr, self._rows, self._rng
-        if k == 0:
-            return np.empty((self._block, 0), dtype=np.int32)
-        partners = np.empty((self._block, k), dtype=np.int32)
-        for j in range(k):
-            p = rng.integers(j, self._n, size=self._block, dtype=np.int32)
-            partners[:, j] = p
-            self._swap_column(j, p)
-        sample = arr[:, :k].copy()
-        for j in reversed(range(k)):
-            self._swap_column(j, partners[:, j])
-        return sample
+def _floyd_hits(
+    rng: np.random.Generator, size: int, n: int, k: int, m: int, units: int
+) -> np.ndarray:
+    """Floyd's subset sampling: k vectorised steps.
 
-    def _swap_column(self, j: int, p: np.ndarray) -> None:
-        arr, rows = self._arr, self._rows
-        tmp = arr[rows, p]           # advanced indexing copies
-        col_j = arr[:, j].copy()
-        arr[rows, p] = col_j
-        arr[:, j] = tmp
+    For j in n-k..n-1 each unit draws t in [0, j] and takes j instead
+    when t is already a member.  Each column is scattered into the
+    slot mask as soon as it is drawn, so only the int32 columns (needed
+    for the membership test) are kept.
+    """
+    hits = np.zeros((size, m), dtype=bool)
+    columns: list[np.ndarray] = []
+    for j in range(n - k, n):
+        t = rng.integers(0, j + 1, size=(size, units), dtype=np.int32)
+        for earlier in columns:
+            t[t == earlier] = j
+        columns.append(t)
+        rows, cols = np.nonzero(t < m)
+        hits[rows, t[rows, cols]] = True
+    return hits
+
+
+def _core_hits(
+    rng: np.random.Generator, size: int, n: int, k: int, m: int, units: int = 1
+) -> np.ndarray:
+    """Which of the slots 0..m-1 fall in any of ``units`` uniform k-subsets.
+
+    Returns a bool array of shape (size, m); each row draws its own
+    ``units`` independent k-subsets of range(n).  Selection sampling
+    costs m steps, Floyd's algorithm k steps with k(k-1)/2 membership
+    comparisons, so the cheaper of the two is taken.  Both are exact.
+    Units are drawn in chunks, so a call holds at most about
+    ``_CALL_ELEMENTS`` int32 values however many units it is given.
+    """
+    if k * (k - 1) // 2 >= m:
+        sample, per_unit = _selection_hits, size
+    else:
+        sample, per_unit = _floyd_hits, size * max(k, 1)
+    chunk = max(1, _CALL_ELEMENTS // per_unit)
+    hits = sample(rng, size, n, k, m, min(units, chunk))
+    for start in range(chunk, units, chunk):
+        hits |= sample(rng, size, n, k, m, min(chunk, units - start))
+    return hits
+
+
+def _floyd_subsets(rng: np.random.Generator, size: int, n: int, k: int) -> np.ndarray:
+    """Floyd's algorithm over all of range(n): k vectorised steps.
+
+    A (size, n) member mask answers Floyd's membership test directly,
+    so no column comparisons are needed.  Rows come out ascending.
+    """
+    seen = np.zeros((size, n), dtype=bool)
+    rows = np.arange(size)
+    out = np.empty((size, k), dtype=np.int32)
+    for col, j in enumerate(range(n - k, n)):
+        t = rng.integers(0, j + 1, size=size, dtype=np.int32)
+        t[seen[rows, t]] = j
+        seen[rows, t] = True
+        out[:, col] = t
+    out.sort(axis=1)
+    return out
 
 
 def draw_subsets(n: int, k: int, count: int, seed: int = 0) -> np.ndarray:
     """``count`` independent uniform k-subsets of range(n), shape (count, k).
 
-    Uses the same block/substream scheme as the trial runners, so it is
-    deterministic in (n, k, count, seed).
+    Each row lists its subset in ascending order.  Uses the same
+    block/substream scheme as the trial runners, so it is deterministic
+    in (n, k, count, seed).  Each block holds a (block, n) bool mask.
     """
     n = _check_int("n", n)
     k = _check_int("k", k)
     count = _check_int("count", count)
+    if not 1 <= n < 2**31:
+        raise ValueError(f"n must lie in [1, 2^31), got {n}")
+    if not 0 <= k <= n:
+        raise ValueError(f"k must lie in [0, n={n}], got {k}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     out = np.empty((count, k), dtype=np.int32)
     block = _block_size(n)
     for b, start in enumerate(range(0, count, block)):
         size = min(block, count - start)
-        sampler = _PrefixSampler(_block_rng(seed, b), size, n)
-        out[start : start + size] = sampler.draw(k)
+        out[start : start + size] = _floyd_subsets(_block_rng(seed, b), size, n, k)
     return out
 
 
@@ -250,26 +312,6 @@ def _resolve_threads(threads: int | None) -> int:
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
     return threads
-
-
-def _miss_count(
-    probes: np.ndarray, replaced: np.ndarray, q: int, rows: np.ndarray
-) -> int:
-    """Trials in which no probe hit a never-replaced core slot (< q)."""
-    hits = (probes < q) & ~replaced[rows[:, None], probes]
-    return int(len(rows) - hits.any(axis=1).sum())
-
-
-def _urn_block(config: TrialConfig, block: int, size: int) -> int:
-    rng = _block_rng(config.seed, block)
-    sampler = _PrefixSampler(rng, size, config.n)
-    replaced_idx = sampler.draw(config.alpha)
-    probes = sampler.draw(config.q)
-    rows = np.arange(size)
-    replaced = np.zeros((size, config.n), dtype=bool)
-    if config.alpha:
-        replaced[rows[:, None], replaced_idx] = True
-    return _miss_count(probes, replaced, config.q, rows)
 
 
 def _replacement_schedule(config: TrialConfig) -> list[int]:
@@ -292,21 +334,34 @@ def _replacement_schedule(config: TrialConfig) -> list[int]:
     return schedule
 
 
-def _churn_block(
-    config: TrialConfig, block: int, size: int, schedule: list[int]
+def _replacement_units(config: TrialConfig) -> list[tuple[int, int]]:
+    """(nodes replaced in one batch, number of such batches), ascending.
+
+    The urn model is a single batch of alpha; the churn process has one
+    batch per time unit, grouped by size since batches are independent.
+    """
+    if config.model == "urn":
+        return [(config.alpha, 1)]
+    return sorted(Counter(_replacement_schedule(config)).items())
+
+
+def _block_outcome(
+    config: TrialConfig, units: list[tuple[int, int]], block: int, size: int
 ) -> tuple[int, int, int]:
+    """Misses, survivor sum and survivor sum of squares over one block.
+
+    Only the q core slots matter: a trial misses when none of its probed
+    core slots was left unreplaced by every batch.
+    """
     rng = _block_rng(config.seed, block)
-    sampler = _PrefixSampler(rng, size, config.n)
-    rows = np.arange(size)
-    replaced_ever = np.zeros((size, config.n), dtype=bool)
-    for r in schedule:
-        if r:
-            idx = sampler.draw(r)
-            replaced_ever[rows[:, None], idx] = True
-    probes = sampler.draw(config.q)
-    misses = _miss_count(probes, replaced_ever, config.q, rows)
-    survivors = config.q - replaced_ever[:, : config.q].sum(axis=1)
-    return misses, int(survivors.sum()), int((survivors.astype(np.int64) ** 2).sum())
+    n, q = config.n, config.q
+    replaced = np.zeros((size, q), dtype=bool)
+    for r, count in units:
+        replaced |= _core_hits(rng, size, n, r, q, units=count)
+    probed = _core_hits(rng, size, n, q, q)
+    misses = size - int((probed & ~replaced).any(axis=1).sum())
+    survivors = q - replaced.sum(axis=1)
+    return misses, int(survivors.sum()), int((survivors**2).sum())
 
 
 def _blocks(config: TrialConfig) -> list[tuple[int, int]]:
@@ -324,15 +379,23 @@ def _map_blocks(fn, blocks, threads):
         return list(pool.map(lambda bs: fn(*bs), blocks))
 
 
+def _simulate(config: TrialConfig, threads: int | None) -> tuple[int, int, int]:
+    """Block outcomes of ``config`` summed over all blocks."""
+    threads = _resolve_threads(threads)
+    units = _replacement_units(config)
+    results = _map_blocks(
+        lambda b, size: _block_outcome(config, units, b, size),
+        _blocks(config),
+        threads,
+    )
+    return tuple(sum(column) for column in zip(*results))
+
+
 def run_urn_trials(config: TrialConfig, threads: int | None = None) -> TrialReport:
     """Run the one-shot replacement experiment ``config.trials`` times."""
     if config.model != "urn":
         raise ValueError(f"run_urn_trials requires model='urn', got {config.model!r}")
-    threads = _resolve_threads(threads)
-    results = _map_blocks(
-        lambda b, size: _urn_block(config, b, size), _blocks(config), threads
-    )
-    misses = sum(results)
+    misses, _, _ = _simulate(config, threads)
     low, high = wilson_interval(misses, config.trials)
     return TrialReport(
         trials=config.trials,
@@ -349,16 +412,7 @@ def run_churn_trials(config: TrialConfig, threads: int | None = None) -> TrialRe
         raise ValueError(
             f"run_churn_trials requires model='churn_process', got {config.model!r}"
         )
-    threads = _resolve_threads(threads)
-    schedule = _replacement_schedule(config)
-    results = _map_blocks(
-        lambda b, size: _churn_block(config, b, size, schedule),
-        _blocks(config),
-        threads,
-    )
-    misses = sum(r[0] for r in results)
-    surv_sum = sum(r[1] for r in results)
-    surv_sumsq = sum(r[2] for r in results)
+    misses, surv_sum, surv_sumsq = _simulate(config, threads)
     t = config.trials
     mean = surv_sum / t
     if t > 1:
@@ -408,7 +462,7 @@ def compare_with_analytic(
     se = math.sqrt(eps * (1.0 - eps) / config.trials)
     diff = report.epsilon_hat - eps
     if se == 0.0:
-        z = 0.0 if diff == 0.0 else math.copysign(math.inf, diff)
+        z = 0.0 if diff == 0.0 else None
     else:
         z = diff / se
     return AnalyticComparison(
@@ -417,5 +471,5 @@ def compare_with_analytic(
         epsilon_analytic=eps,
         epsilon_empirical=report.epsilon_hat,
         z_score=z,
-        flagged=abs(z) > 3.0,
+        flagged=z is None or abs(z) > 3.0,
     )

@@ -386,6 +386,42 @@ class TestSimulate:
                 "--trials", "50000", "--check"]
         assert invoke(runner, *args).exit_code == 0
 
+    def test_undefined_z_is_null_in_strict_json(self, runner):
+        # Two single replacements leave epsilon_analytic = 0 while the
+        # process can still miss, so the analytic standard error is 0
+        # and z is undefined: null in JSON, flagged, exit 4 under --check.
+        args = ["simulate", "--n", "10", "--q", "6", "--c", "0.05",
+                "--delta", "2", "--trials", "200000"]
+        result = invoke(runner, *args, "--json")
+        assert result.exit_code == 0
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        record = json.loads(result.output, parse_constant=reject)
+        assert record["epsilon_analytic"] == 0.0 and record["misses"] > 0
+        assert record["z_score"] is None
+        assert record["flagged"] is True
+        assert canonical_json(result.output) == result.output
+        text = invoke(runner, *args)
+        assert text.exit_code == 0
+        assert "z = undefined" in text.output
+        checked = invoke(runner, *args, "--check")
+        assert checked.exit_code == 4
+        assert "z-check failed" in checked.output
+
+    def test_memory_error_exits_2(self, runner, monkeypatch):
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 23.8 GiB")
+
+        monkeypatch.setattr("coreprobe.cli.compare_with_analytic", exhaust)
+        result = invoke(
+            runner, "simulate", "--n", "10", "--q", "2", "--alpha", "1",
+            "--trials", "10",
+        )
+        assert result.exit_code == 2
+        assert "error: out of memory" in result.output
+
     def test_model_conflicts_exit_2(self, runner):
         assert invoke(
             runner, "simulate", "--n", "10", "--q", "2", "--alpha", "1",

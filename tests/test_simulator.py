@@ -1,13 +1,19 @@
 """Tests for the Monte Carlo cross-check of the analytic miss probability."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import coreprobe
 from coreprobe import (
     THREADS_ENV_VAR,
     TrialConfig,
@@ -24,8 +30,9 @@ from coreprobe import (
 from coreprobe.simulator import (
     _block_rng,
     _block_size,
-    _PrefixSampler,
+    _floyd_hits,
     _replacement_schedule,
+    _selection_hits,
 )
 
 
@@ -142,8 +149,8 @@ class TestDrawSubsets:
         rows = draw_subsets(9, 4, 1000, seed=7)
         assert rows.shape == (1000, 4)
         assert rows.min() >= 0 and rows.max() < 9
-        sorted_rows = np.sort(rows, axis=1)
-        assert (np.diff(sorted_rows, axis=1) > 0).all()
+        # Strictly ascending rows: distinct members, listed in order.
+        assert (np.diff(rows, axis=1) > 0).all()
 
     def test_full_draw_is_a_permutation(self):
         rows = draw_subsets(7, 7, 200, seed=1)
@@ -170,19 +177,64 @@ class TestDrawSubsets:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_sampler_restores_its_scratch_array(self):
-        # draw() must undo its swaps so later draws see the same base
-        # state regardless of earlier k values.
-        sampler = _PrefixSampler(_block_rng(3, 0), 8, 10)
-        before = sampler._arr.copy()
-        sampler.draw(4)
-        assert np.array_equal(sampler._arr, before)
-
     def test_rejects_oversized_subset(self):
         with pytest.raises(ValueError):
             draw_subsets(5, 6, 10)
         with pytest.raises(ValueError):
             draw_subsets(5, 2, 0)
+
+
+def _within_4_sigma(count, trials, p):
+    mean = trials * p
+    return abs(count - mean) < 4 * math.sqrt(trials * p * (1 - p))
+
+
+@pytest.mark.parametrize("method", [_selection_hits, _floyd_hits])
+class TestCoreHits:
+    # Both exact samplers are called directly, whichever _core_hits
+    # would pick for these (k, m).
+    @pytest.mark.parametrize("k", [0, 1, 4, 10])
+    def test_full_mask_has_k_members_per_row(self, method, k):
+        hits = method(_block_rng(5, 0), 2000, 10, k, 10, 1)
+        assert hits.shape == (2000, 10)
+        assert (hits.sum(axis=1) == k).all()
+
+    def test_uniform_over_all_20_subsets(self, method):
+        # Each of C(6,3)=20 masks about 10000 times in 200k rows; the
+        # max deviation sits within 4 standard deviations (sigma ~ 97.5).
+        hits = method(_block_rng(0, 0), 200_000, 6, 3, 6, 1)
+        masks = hits @ (1 << np.arange(6))
+        counts = np.bincount(masks, minlength=64)
+        hit = counts[counts > 0]
+        assert len(hit) == 20
+        assert np.abs(hit - 10_000).max() < 390
+
+    def test_joint_membership_of_a_restricted_prefix(self, method):
+        # Only slots {0, 1} of a 3-subset of range(10) are reported; the
+        # four membership patterns have exact probabilities
+        # C(8, 3 - members) / C(10, 3).
+        trials = 100_000
+        hits = method(_block_rng(1, 0), trials, 10, 3, 2, 1)
+        assert hits.shape == (trials, 2)
+        pattern = hits[:, 0] + 2 * hits[:, 1]
+        counts = np.bincount(pattern, minlength=4)
+        for code, count in enumerate(counts):
+            members = bin(code).count("1")
+            p = Fraction(math.comb(8, 3 - members), math.comb(10, 3))
+            assert _within_4_sigma(count, trials, float(p)), (code, count, p)
+
+    def test_union_of_units_matches_survival(self, method):
+        # A slot escapes each of 4 independent 3-subsets of range(20)
+        # with probability 1 - 3/20; slots 0 and 1 both escape one with
+        # probability C(18, 3) / C(20, 3).
+        trials, n, k, units = 50_000, 20, 3, 4
+        hits = method(_block_rng(2, 0), trials, n, k, 5, units)
+        survive = Fraction(n - k, n) ** units
+        for slot in range(5):
+            assert _within_4_sigma(int((~hits[:, slot]).sum()), trials, float(survive))
+        both = Fraction(math.comb(n - 2, k), math.comb(n, k)) ** units
+        count = int((~hits[:, 0] & ~hits[:, 1]).sum())
+        assert _within_4_sigma(count, trials, float(both))
 
 
 class TestDeterminism:
@@ -222,7 +274,7 @@ class TestUrnModel:
     # a change in block layout or sampling order would shift them.
     def test_matches_exact_probability_6_2_3(self):
         report = run_urn_trials(_urn(6, 2, 3, 10**6))
-        assert report.misses == 679_815
+        assert report.misses == 680_460
         assert report.epsilon_hat == report.misses / 10**6
         exact = miss_probability(6, 3, 2).epsilon
         assert exact == Fraction(17, 25)
@@ -236,7 +288,7 @@ class TestUrnModel:
     def test_matches_exact_probability_10_4_5(self):
         report = run_urn_trials(_urn(10, 4, 5, 200_000))
         exact = float(miss_probability(10, 5, 4).epsilon)
-        assert report.misses == 73_482
+        assert report.misses == 73_056
         assert report.ci_low <= exact <= report.ci_high
 
     def test_certain_miss_and_certain_hit(self):
@@ -326,3 +378,50 @@ class TestCompareWithAnalytic:
         assert cmp.epsilon_empirical > cmp.epsilon_analytic
         assert cmp.z_score > 3
         assert cmp.flagged
+
+
+def _run_capped(body):
+    """Run ``body`` in a child whose address space is capped at 2 GiB."""
+    src = Path(coreprobe.__file__).resolve().parent.parent
+    code = textwrap.dedent(
+        """
+        import resource
+        cap = 2 * 1024**3
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+        from coreprobe import TrialConfig, run_trials
+        """
+    ) + textwrap.dedent(body)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=str(src))
+    return subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+
+
+class TestBoundedMemory:
+    def test_huge_n_runs_in_a_2_gib_address_space(self):
+        # Memory per block grows with q, not n: at n = 10^8 a (block, n)
+        # array would need gigabytes.  The cap applies to the child only.
+        child = _run_capped(
+            """
+            base = dict(n=10**8, q=50, trials=128)
+            run_trials(TrialConfig(model="urn", alpha=10**7, **base))
+            run_trials(TrialConfig(model="churn_process", c=1e-6, delta=5, **base))
+            """
+        )
+        assert child.returncode == 0, child.stderr
+
+    def test_long_churn_runs_in_a_2_gib_address_space(self):
+        # Nor does it grow with delta: one full block of 16384 trials
+        # with 3*10^4 single-node batches would need over 2 GiB if all
+        # batches were drawn in one call.
+        child = _run_capped(
+            """
+            config = TrialConfig(
+                model="churn_process", n=1000, q=79, c=0.001, delta=3 * 10**4,
+                trials=16384,
+            )
+            assert run_trials(config).trials == 16384
+            """
+        )
+        assert child.returncode == 0, child.stderr
