@@ -42,7 +42,7 @@ def growth_rows(rates, delta_max, points):
 def deadline_rows(budgets, c_lo, c_hi, points):
     rows = []
     for token in budgets:
-        budget = parse_ratio(token, name="budget")
+        budget = parse_ratio(token)
         for c in _log_grid(c_lo, c_hi, points):
             result = delta_for_churn(c, budget)
             rows.append(

@@ -37,7 +37,7 @@ def _row(comparison, label: str) -> str:
     return (
         f"{label:<34} alpha={comparison.alpha:<5d}"
         f" analytic={comparison.epsilon_analytic:.6g}"
-        f" empirical={comparison.epsilon_empirical:.6g}"
+        f" empirical={report.epsilon_hat:.6g}"
         f" ci=[{report.ci_low:.6g}, {report.ci_high:.6g}]"
         f" z={z_text}{flag}"
     )
@@ -52,7 +52,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=0, help="base RNG seed")
     parser.add_argument(
         "--threads", type=int, default=None,
-        help="worker threads (default: library heuristic)",
+        help="worker threads (default: $COREPROBE_THREADS or 1)",
     )
     args = parser.parse_args(argv)
 

@@ -6,22 +6,17 @@ Carlo simulator that checks the closed forms independently.
 """
 
 from .combinatorics import (
-    LogReal,
     binomial_exact,
     ln_binomial,
     log_sum_exp,
 )
 from .persistence import (
     EXACT_N_LIMIT,
-    ChurnOutcome,
     MissProbability,
-    ProbeQuery,
-    SystemParams,
     churn_ratio,
     conditional_miss,
     hypergeometric_pmf,
     miss_probability,
-    miss_probability_for,
     replaced_count,
     support_bounds,
 )
@@ -43,7 +38,6 @@ from .solvers import (
     InfeasibleError,
     LifetimeResult,
     MaxDeltaResult,
-    TuningTarget,
     churn_rate_for,
     delta_for_churn,
     max_delta,
@@ -53,14 +47,10 @@ from .solvers import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "LogReal",
     "binomial_exact",
     "ln_binomial",
     "log_sum_exp",
     "EXACT_N_LIMIT",
-    "SystemParams",
-    "ChurnOutcome",
-    "ProbeQuery",
     "MissProbability",
     "churn_ratio",
     "replaced_count",
@@ -68,8 +58,6 @@ __all__ = [
     "hypergeometric_pmf",
     "conditional_miss",
     "miss_probability",
-    "miss_probability_for",
-    "TuningTarget",
     "CoreSizeResult",
     "LifetimeResult",
     "MaxDeltaResult",

@@ -52,7 +52,7 @@ from .solvers import (
 _MODE = click.Choice(["auto", "exact", "logspace"])
 
 
-def parse_ratio(text: str, *, name: str = "ratio", allow_static: bool = False) -> Fraction:
+def parse_ratio(text: str, *, allow_static: bool = False) -> Fraction:
     """Parse a ratio token to an exact rational.
 
     Accepts "30%", "0.3", "1e-3", and (when allowed) "static" -> 0.
@@ -65,7 +65,23 @@ def parse_ratio(text: str, *, name: str = "ratio", allow_static: bool = False) -
             return Fraction(token[:-1].strip()) / 100
         return Fraction(token)
     except (ValueError, ZeroDivisionError) as exc:
-        raise click.BadParameter(f"cannot parse {name} value {text!r}") from exc
+        raise click.BadParameter(f"cannot parse ratio {text!r}") from exc
+
+
+class _Ratio(click.ParamType):
+    """A ratio flag or token, parsed by ``parse_ratio`` to a Fraction."""
+
+    name = "ratio"
+
+    def __init__(self, allow_static: bool) -> None:
+        self.allow_static = allow_static
+
+    def convert(self, value, param, ctx) -> Fraction:
+        return parse_ratio(value, allow_static=self.allow_static)
+
+
+RATIO = _Ratio(allow_static=False)
+RATIO_OR_STATIC = _Ratio(allow_static=True)
 
 
 def _domain_guard(fn):
@@ -122,8 +138,13 @@ def _fmt_prob(value) -> str:
     return f"{value:.6g}"
 
 
-def _resolve_alpha(n, alpha, cap_c, c_rate, delta):
-    """Reduce the three churn specification forms to (alpha, ratio)."""
+def _resolve_churn(n, alpha, cap_c, c_rate, delta):
+    """Reduce the three churn forms to (alpha, ratio, rate).
+
+    Exactly one of --alpha, --C, or --c with --delta must be given.
+    ``rate`` is the per-unit --c of the third form and None for the
+    other two, which describe a single replacement batch.
+    """
     forms = (alpha is not None) + (cap_c is not None) + (
         c_rate is not None or delta is not None
     )
@@ -131,23 +152,22 @@ def _resolve_alpha(n, alpha, cap_c, c_rate, delta):
         raise click.UsageError(
             "specify exactly one churn form: --alpha, --C, or --c with --delta"
         )
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if alpha is not None:
-        return alpha, Fraction(alpha, n)
+        return alpha, Fraction(alpha, n), None
     if cap_c is not None:
-        ratio = parse_ratio(cap_c, name="C", allow_static=True)
-        return replaced_count(n, ratio), ratio
+        return replaced_count(n, cap_c), cap_c, None
     if c_rate is None or delta is None:
         raise click.UsageError("--c and --delta must be given together")
-    ratio = churn_ratio(parse_ratio(c_rate, name="c"), delta)
-    return replaced_count(n, ratio), ratio
+    ratio = churn_ratio(c_rate, delta)
+    return replaced_count(n, ratio), ratio, c_rate
 
 
 def _resolve_target(epsilon, p) -> Fraction:
     if (epsilon is None) == (p is None):
         raise click.UsageError("specify exactly one of --epsilon or --p")
-    if epsilon is not None:
-        return parse_ratio(epsilon, name="epsilon")
-    return 1 - parse_ratio(p, name="p")
+    return 1 - p if epsilon is None else epsilon
 
 
 def _split_tokens(text: str, name: str) -> list[str]:
@@ -172,8 +192,9 @@ def main() -> None:
 @click.option("--n", type=int, required=True, help="System size (node count).")
 @click.option("--q", type=int, required=True, help="Core size; probes use the same count.")
 @click.option("--alpha", type=int, default=None, help="Replaced-node count.")
-@click.option("--C", "cap_c", default=None, help="Churn ratio over the span ('static' for none).")
-@click.option("--c", "c_rate", default=None, help="Per-time-unit churn rate.")
+@click.option("--C", "cap_c", type=RATIO_OR_STATIC, default=None,
+              help="Churn ratio over the span ('static' for none).")
+@click.option("--c", "c_rate", type=RATIO, default=None, help="Per-time-unit churn rate.")
 @click.option("--delta", type=int, default=None, help="Time units between core formation and probe.")
 @click.option("--mode", type=_MODE, default="auto", show_default=True, help="Numeric path.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a canonical JSON record.")
@@ -185,7 +206,7 @@ def prob(n, q, alpha, cap_c, c_rate, delta, mode, as_json):
     Ratios accept '30%' or '0.3' (kept exact); --C also accepts 'static'
     (alpha = 0).  alpha = ceil(C*n).
     """
-    alpha, ratio = _resolve_alpha(n, alpha, cap_c, c_rate, delta)
+    alpha, ratio, _ = _resolve_churn(n, alpha, cap_c, c_rate, delta)
     result = miss_probability(n, alpha, q, mode=mode)
     epsilon = result.epsilon
     if as_json:
@@ -212,11 +233,13 @@ def prob(n, q, alpha, cap_c, c_rate, delta, mode, as_json):
 
 @main.command()
 @click.option("--n", type=int, required=True, help="System size (node count).")
-@click.option("--epsilon", default=None, help="Largest acceptable miss probability.")
-@click.option("--p", default=None, help="Smallest acceptable hit probability (= 1 - epsilon).")
+@click.option("--epsilon", type=RATIO, default=None, help="Largest acceptable miss probability.")
+@click.option("--p", type=RATIO, default=None,
+              help="Smallest acceptable hit probability (= 1 - epsilon).")
 @click.option("--alpha", type=int, default=None, help="Replaced-node count.")
-@click.option("--C", "cap_c", default=None, help="Churn ratio over the span ('static' for none).")
-@click.option("--c", "c_rate", default=None, help="Per-time-unit churn rate.")
+@click.option("--C", "cap_c", type=RATIO_OR_STATIC, default=None,
+              help="Churn ratio over the span ('static' for none).")
+@click.option("--c", "c_rate", type=RATIO, default=None, help="Per-time-unit churn rate.")
 @click.option("--delta", type=int, default=None, help="Time units between core formation and probe.")
 @click.option("--mode", type=_MODE, default="auto", show_default=True, help="Numeric path.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a canonical JSON record.")
@@ -230,7 +253,7 @@ def size(n, epsilon, p, alpha, cap_c, c_rate, delta, mode, as_json):
     '0.3' (kept exact); --C also accepts 'static'.  alpha = ceil(C*n).
     """
     target = _resolve_target(epsilon, p)
-    alpha, ratio = _resolve_alpha(n, alpha, cap_c, c_rate, delta)
+    alpha, ratio, _ = _resolve_churn(n, alpha, cap_c, c_rate, delta)
     result = min_core_size(n, alpha, target, mode=mode)
     if as_json:
         record = {
@@ -253,17 +276,17 @@ def size(n, epsilon, p, alpha, cap_c, c_rate, delta, mode, as_json):
 
 
 @main.command()
-@click.option("--c", "c_rate", required=True, help="Per-time-unit churn rate.")
-@click.option("--C", "cap_c", default=None, help="Churn ratio budget for the span.")
+@click.option("--c", "c", type=RATIO, required=True, help="Per-time-unit churn rate.")
+@click.option("--C", "budget", type=RATIO, default=None, help="Churn ratio budget for the span.")
 @click.option("--n", type=int, default=None, help="System size (miss-target form).")
 @click.option("--q", type=int, default=None, help="Core size (miss-target form).")
-@click.option("--epsilon", default=None, help="Largest acceptable miss probability.")
-@click.option("--p", default=None, help="Smallest acceptable hit probability.")
+@click.option("--epsilon", type=RATIO, default=None, help="Largest acceptable miss probability.")
+@click.option("--p", type=RATIO, default=None, help="Smallest acceptable hit probability.")
 @click.option("--horizon", type=int, default=None, help="Search cap for the miss-target form.")
 @click.option("--mode", type=_MODE, default="auto", show_default=True, help="Numeric path.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a canonical JSON record.")
 @_domain_guard
-def lifetime(c_rate, cap_c, n, q, epsilon, p, horizon, mode, as_json):
+def lifetime(c, budget, n, q, epsilon, p, horizon, mode, as_json):
     """Largest probe delay delta a churn budget allows.
 
     Two forms: with --C, the largest delta keeping the churn ratio
@@ -271,11 +294,9 @@ def lifetime(c_rate, cap_c, n, q, epsilon, p, horizon, mode, as_json):
     the largest delta keeping the miss probability within the target.
     Ratios accept '30%' or '0.3' (kept exact).  alpha = ceil(C*n).
     """
-    c = parse_ratio(c_rate, name="c")
-    if cap_c is not None:
+    if budget is not None:
         if n is not None or q is not None or epsilon is not None or p is not None:
             raise click.UsageError("--C excludes the --n/--q/--epsilon form")
-        budget = parse_ratio(cap_c, name="C")
         result = delta_for_churn(c, budget)
         if as_json:
             _emit_json(
@@ -322,17 +343,17 @@ def lifetime(c_rate, cap_c, n, q, epsilon, p, horizon, mode, as_json):
 
 
 @main.command()
-@click.option("--C", "cap_c", required=True, help="Churn ratio reached after --delta units.")
+@click.option("--C", "ratio", type=RATIO, required=True,
+              help="Churn ratio reached after --delta units.")
 @click.option("--delta", type=int, required=True, help="Time units in the span.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a canonical JSON record.")
 @_domain_guard
-def churn(cap_c, delta, as_json):
+def churn(ratio, delta, as_json):
     """Per-time-unit churn rate producing a ratio in a given span.
 
     Inverts C = 1 - (1-c)^delta for c.  Ratios accept '30%' or '0.3'
     (kept exact).
     """
-    ratio = parse_ratio(cap_c, name="C")
     c = churn_rate_for(ratio, delta)
     if as_json:
         _emit_json({"C": float(ratio), "delta": delta, "c": c})
@@ -381,10 +402,9 @@ def table(n_list, p_list, c_list, mode, as_csv, as_json):
     rows = []
     for n in n_values:
         for p_tok in p_tokens:
-            target = 1 - parse_ratio(p_tok, name="p")
+            target = 1 - RATIO(p_tok)
             for c_tok in c_tokens:
-                ratio = parse_ratio(c_tok, name="C", allow_static=True)
-                alpha = replaced_count(n, ratio)
+                alpha = replaced_count(n, RATIO_OR_STATIC(c_tok))
                 result = min_core_size(n, alpha, target, mode=mode)
                 rows.append([n, p_tok, c_tok, result.q, float(result.epsilon)])
     if as_json:
@@ -405,17 +425,7 @@ def table(n_list, p_list, c_list, mode, as_csv, as_json):
 
 def _sweep_points(variable, start, stop, step, values):
     integer = variable in ("q", "delta")
-
-    def convert(token):
-        if integer:
-            try:
-                return int(token)
-            except ValueError as exc:
-                raise click.BadParameter(
-                    f"{variable} sweep takes integers, got {token!r}"
-                ) from exc
-        return parse_ratio(token, name=variable, allow_static=variable == "C")
-
+    convert = click.INT if integer else RATIO_OR_STATIC if variable == "C" else RATIO
     if values is not None:
         if start is not None or stop is not None or step is not None:
             raise click.UsageError("--values excludes --start/--stop/--step")
@@ -447,11 +457,11 @@ def _sweep_points(variable, start, stop, step, values):
 @click.option("--stop", default=None, help="Last swept value (inclusive).")
 @click.option("--step", default=None, help="Increment; defaults to 1 for integer sweeps.")
 @click.option("--values", default=None, help="Explicit comma-separated sweep values.")
-@click.option("--n", type=int, default=None, help="System size (node count).")
+@click.option("--n", type=int, required=True, help="System size (node count).")
 @click.option("--q", "q_fixed", type=int, default=None, help="Core size, when not swept/solved.")
 @click.option("--alpha", type=int, default=None, help="Replaced-node count.")
-@click.option("--C", "cap_c", default=None, help="Churn ratio ('static' for none).")
-@click.option("--c", "c_rate", default=None, help="Per-time-unit churn rate.")
+@click.option("--C", "cap_c", type=RATIO_OR_STATIC, default=None, help="Churn ratio ('static' for none).")
+@click.option("--c", "c_rate", type=RATIO, default=None, help="Per-time-unit churn rate.")
 @click.option("--delta", type=int, default=None, help="Time units between core formation and probe.")
 @click.option("--mode", type=_MODE, default="auto", show_default=True, help="Numeric path.")
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON rows instead of CSV.")
@@ -461,70 +471,34 @@ def sweep(variable, start, stop, step, values, n, q_fixed, alpha, cap_c, c_rate,
 
     VARIABLE is one of q, delta, c, C, epsilon.  Rows carry the columns
     variable, C, alpha, q, epsilon, p (the swept value first).  Fixed
-    parameters come from the remaining flags: a q sweep needs --n and a
-    churn form; delta needs --n, --q, --c; c needs --n, --q, --delta;
-    C needs --n, --q; epsilon needs --n and a churn form (q is solved).
-    Ratios accept '30%' or '0.3' (kept exact); --C also accepts
-    'static'.  alpha = ceil(C*n).
+    parameters come from the remaining flags: each point takes the place
+    of the flag of its name, so --q and a churn form (--alpha, --C, or
+    --c with --delta) must be complete once it is filled in.  An epsilon
+    sweep solves for q at each target, so it takes no --q.  Ratios
+    accept '30%' or '0.3' (kept exact); --C also accepts 'static'.
+    alpha = ceil(C*n).
     """
     points = _sweep_points(variable, start, stop, step, values)
-    if n is None:
-        raise click.UsageError("--n is required")
-
-    def need_q():
-        if q_fixed is None:
-            raise click.UsageError(f"{variable} sweep requires --q")
-        return q_fixed
-
-    def forbid(**flags):
-        for flag, value in flags.items():
-            if value is not None:
-                raise click.UsageError(f"{variable} sweep excludes --{flag}")
-
+    flags = {"q": q_fixed, "alpha": alpha, "C": cap_c, "c": c_rate, "delta": delta,
+             "epsilon": None}
+    solving = variable == "epsilon"
+    excluded = "q" if solving else variable
+    if flags[excluded] is not None:
+        raise click.UsageError(f"{variable} sweep excludes --{excluded}")
+    if q_fixed is None and variable not in ("q", "epsilon"):
+        raise click.UsageError(f"{variable} sweep requires --q")
     rows = []
-    if variable == "q":
-        forbid(q=q_fixed)
-        a, ratio = _resolve_alpha(n, alpha, cap_c, c_rate, delta)
-        for q in points:
+    for value in points:
+        flags[variable] = value
+        a, ratio, _ = _resolve_churn(n, flags["alpha"], flags["C"], flags["c"], flags["delta"])
+        if solving:
+            result = min_core_size(n, a, value, mode=mode)
+            q, eps = result.q, result.epsilon
+        else:
+            q = flags["q"]
             eps = miss_probability(n, a, q, mode=mode).epsilon
-            rows.append([q, float(ratio), a, q, float(eps), float(1 - eps)])
-    elif variable == "delta":
-        q = need_q()
-        forbid(alpha=alpha, C=cap_c, delta=delta)
-        if c_rate is None:
-            raise click.UsageError("delta sweep requires --c")
-        c = parse_ratio(c_rate, name="c")
-        for d in points:
-            ratio = churn_ratio(c, d)
-            a = replaced_count(n, ratio)
-            eps = miss_probability(n, a, q, mode=mode).epsilon
-            rows.append([d, ratio, a, q, float(eps), float(1 - eps)])
-    elif variable == "c":
-        q = need_q()
-        forbid(alpha=alpha, C=cap_c, c=c_rate)
-        if delta is None:
-            raise click.UsageError("c sweep requires --delta")
-        for c in points:
-            ratio = churn_ratio(c, delta)
-            a = replaced_count(n, ratio)
-            eps = miss_probability(n, a, q, mode=mode).epsilon
-            rows.append([float(c), ratio, a, q, float(eps), float(1 - eps)])
-    elif variable == "C":
-        q = need_q()
-        forbid(alpha=alpha, C=cap_c, c=c_rate, delta=delta)
-        for ratio in points:
-            a = replaced_count(n, ratio)
-            eps = miss_probability(n, a, q, mode=mode).epsilon
-            rows.append([float(ratio), float(ratio), a, q, float(eps), float(1 - eps)])
-    else:  # epsilon
-        forbid(q=q_fixed)
-        a, ratio = _resolve_alpha(n, alpha, cap_c, c_rate, delta)
-        for target in points:
-            result = min_core_size(n, a, target, mode=mode)
-            eps = result.epsilon
-            rows.append(
-                [float(target), float(ratio), a, result.q, float(eps), float(1 - eps)]
-            )
+        swept = value if isinstance(value, int) else float(value)
+        rows.append([swept, float(ratio), a, q, float(eps), float(1 - eps)])
     header = ["variable", "C", "alpha", "q", "epsilon", "p"]
     if as_json:
         _emit_json([dict(zip(header, row)) for row in rows])
@@ -538,8 +512,10 @@ def sweep(variable, start, stop, step, values, n, q_fixed, alpha, cap_c, c_rate,
 @click.option("--n", type=int, required=True, help="System size (node count).")
 @click.option("--q", type=int, required=True, help="Core size; probes use the same count.")
 @click.option("--alpha", type=int, default=None, help="Replaced-node count (urn model).")
-@click.option("--C", "cap_c", default=None, help="Churn ratio; converted to alpha (urn model).")
-@click.option("--c", "c_rate", default=None, help="Per-unit churn rate (churn_process model).")
+@click.option("--C", "cap_c", type=RATIO_OR_STATIC, default=None,
+              help="Churn ratio; converted to alpha (urn model).")
+@click.option("--c", "c_rate", type=RATIO, default=None,
+              help="Per-unit churn rate (churn_process model).")
 @click.option("--delta", type=int, default=None, help="Time units to simulate (churn_process model).")
 @click.option("--trials", type=int, default=100_000, show_default=True, help="Trial count.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Root RNG seed.")
@@ -560,26 +536,11 @@ def simulate(model, n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
     regardless of --threads.  Ratios accept '30%' or '0.3' (kept
     exact); --C also accepts 'static'.  alpha = ceil(C*n).
     """
-    urn_form = alpha is not None or cap_c is not None
-    churn_form = c_rate is not None or delta is not None
-    if urn_form == churn_form:
-        raise click.UsageError(
-            "specify either --alpha/--C (urn) or --c with --delta (churn_process)"
-        )
-    if urn_form:
-        inferred = "urn"
-        if cap_c is not None:
-            if alpha is not None:
-                raise click.UsageError("--alpha and --C are mutually exclusive")
-            alpha = replaced_count(n, parse_ratio(cap_c, name="C", allow_static=True))
-        config_kwargs = {"alpha": alpha}
-    else:
-        inferred = "churn_process"
-        if c_rate is None or delta is None:
-            raise click.UsageError("--c and --delta must be given together")
-        config_kwargs = {"c": parse_ratio(c_rate, name="c"), "delta": delta}
+    alpha, _, rate = _resolve_churn(n, alpha, cap_c, c_rate, delta)
+    inferred = "urn" if rate is None else "churn_process"
     if model is not None and model != inferred:
         raise click.UsageError(f"--model {model} conflicts with the given churn form")
+    form = {"alpha": alpha} if rate is None else {"c": rate, "delta": delta}
     config = TrialConfig(
         n=n,
         q=q,
@@ -587,7 +548,7 @@ def simulate(model, n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
         model=inferred,
         seed=seed,
         fractional_churn=fractional_churn,
-        **config_kwargs,
+        **form,
     )
     cmp = compare_with_analytic(config, threads=threads)
     report = cmp.report

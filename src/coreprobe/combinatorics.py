@@ -2,18 +2,19 @@
 
 Everything here comes in two flavors: exact big-integer / big-rational
 arithmetic (`binomial_exact`, `fractions.Fraction`) and logarithmic
-floating point (`LogReal`, `ln_binomial`, `log_sum_exp`).  The exact
-flavor is the reference; the log flavor is what scales to populations
-of 10^5 and beyond.
+floating point (`ln_binomial`, `log_sum_exp`).  The exact flavor is the
+reference; the log flavor is what scales to populations of 10^5 and
+beyond.  A log value is a plain float holding the natural logarithm of
+a nonnegative magnitude, with ``-inf`` encoding exact zero: products
+and quotients of magnitudes are sums and differences of logs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import ClassVar, Iterable
+from typing import Iterable
 
-__all__ = ["LogReal", "binomial_exact", "ln_binomial", "log_sum_exp"]
+__all__ = ["binomial_exact", "ln_binomial", "log_sum_exp"]
 
 # Below this threshold on min(r, m-r) the exact big-integer binomial is
 # cheap, and taking its log is more accurate than three lgamma calls
@@ -22,49 +23,6 @@ __all__ = ["LogReal", "binomial_exact", "ln_binomial", "log_sum_exp"]
 _EXACT_LOG_CUTOFF = 200
 
 _NEG_INF = float("-inf")
-
-
-@dataclass(frozen=True)
-class LogReal:
-    """A nonnegative real carried as its natural logarithm.
-
-    ``log = -inf`` is the distinguished encoding of exact zero; it is
-    absorbing under multiplication and the identity of log_sum_exp.
-    Multiplication and division of magnitudes are addition and
-    subtraction of logs.
-    """
-
-    log: float
-
-    ZERO: ClassVar["LogReal"]
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogReal":
-        if x < 0:
-            raise ValueError(f"LogReal requires a nonnegative value, got {x}")
-        return cls(_NEG_INF) if x == 0 else cls(math.log(x))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log == _NEG_INF
-
-    def value(self) -> float:
-        """The represented magnitude (0.0 for exact zero)."""
-        return 0.0 if self.is_zero else math.exp(self.log)
-
-    def __mul__(self, other: "LogReal") -> "LogReal":
-        # -inf + finite = -inf, so zero absorbs with no special case.
-        return LogReal(self.log + other.log)
-
-    def __truediv__(self, other: "LogReal") -> "LogReal":
-        if other.is_zero:
-            raise ZeroDivisionError("division by LogReal zero")
-        if self.is_zero:
-            return LogReal(_NEG_INF)
-        return LogReal(self.log - other.log)
-
-
-LogReal.ZERO = LogReal(_NEG_INF)
 
 
 def binomial_exact(m: int, r: int) -> int:
@@ -80,39 +38,37 @@ def binomial_exact(m: int, r: int) -> int:
     return math.comb(m, r)
 
 
-def ln_binomial(m: int, r: int) -> LogReal:
-    """ln C(m, r) as a LogReal; exact zero when r < 0 or r > m.
+def ln_binomial(m: int, r: int) -> float:
+    """ln C(m, r); -inf (exact zero) when r < 0 or r > m.
 
     Uses the log-gamma function for mid-range r and falls back to the
     log of the exact integer when min(r, m-r) is small, keeping the
-    relative error of the stored log below 1e-12 across the whole
-    domain (m up to ~10^6).
+    relative error of the result below 1e-12 across the whole domain
+    (m up to ~10^6).
     """
     if m < 0:
         raise ValueError(f"ln_binomial requires m >= 0, got m={m}")
     if r < 0 or r > m:
-        return LogReal.ZERO
+        return _NEG_INF
     k = min(r, m - r)
     if k == 0:
-        return LogReal(0.0)
+        return 0.0
     if k <= _EXACT_LOG_CUTOFF:
-        return LogReal(math.log(math.comb(m, r)))
-    return LogReal(
-        math.lgamma(m + 1) - math.lgamma(r + 1) - math.lgamma(m - r + 1)
-    )
+        return math.log(math.comb(m, r))
+    return math.lgamma(m + 1) - math.lgamma(r + 1) - math.lgamma(m - r + 1)
 
 
-def log_sum_exp(terms: Iterable[LogReal]) -> LogReal:
-    """Logarithm of the sum of the represented magnitudes.
+def log_sum_exp(logs: Iterable[float]) -> float:
+    """Logarithm of the sum of the magnitudes whose logs are given.
 
     Max-shifted so no intermediate overflows, with the partial sums
     accumulated by math.fsum so the result is independent of term
-    order.  An empty sequence (or all-zero terms) yields exact zero.
+    order.  An empty sequence (or all -inf terms) yields -inf.
     """
-    logs = [t.log for t in terms if t.log != _NEG_INF]
-    if not logs:
-        return LogReal.ZERO
-    m = max(logs)
+    finite = [x for x in logs if x != _NEG_INF]
+    if not finite:
+        return _NEG_INF
+    m = max(finite)
     if m == math.inf:
         raise OverflowError("log_sum_exp over an infinite magnitude")
-    return LogReal(m + math.log(math.fsum(math.exp(x - m) for x in logs)))
+    return m + math.log(math.fsum(math.exp(x - m) for x in finite))

@@ -25,13 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Union
 
-from .combinatorics import LogReal, binomial_exact, ln_binomial, log_sum_exp
+from .combinatorics import binomial_exact, ln_binomial, log_sum_exp
 
 __all__ = [
     "EXACT_N_LIMIT",
-    "SystemParams",
-    "ChurnOutcome",
-    "ProbeQuery",
     "MissProbability",
     "churn_ratio",
     "replaced_count",
@@ -39,7 +36,6 @@ __all__ = [
     "hypergeometric_pmf",
     "conditional_miss",
     "miss_probability",
-    "miss_probability_for",
 ]
 
 Mode = Literal["exact", "logspace", "auto"]
@@ -57,70 +53,6 @@ def _check_int(name: str, value: object) -> int:
 
 
 @dataclass(frozen=True)
-class SystemParams:
-    """Static description of the dynamic system.
-
-    n: population size (constant; joins balance leaves).
-    c: fraction of the population replaced per time unit, in [0, 1).
-    delta: observation span in whole time units.  Fractional spans are
-        rejected rather than interpolated: the replacement process is
-        defined per whole unit.
-    """
-
-    n: int
-    c: RatioLike
-    delta: int
-
-    def __post_init__(self) -> None:
-        n = _check_int("n", self.n)
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if not 0 <= self.c < 1:
-            raise ValueError(f"c must lie in [0, 1), got {self.c}")
-        delta = _check_int("delta", self.delta)
-        if delta < 0:
-            raise ValueError(f"delta must be >= 0, got {delta}")
-
-    def churn_outcome(self) -> "ChurnOutcome":
-        return ChurnOutcome.from_params(self)
-
-
-@dataclass(frozen=True)
-class ChurnOutcome:
-    """Derived dynamism: replaced ratio and integer replacement count."""
-
-    ratio: RatioLike  # fraction of initial nodes replaced over the span
-    alpha: int        # ceil(ratio * n), in [0, n]
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.ratio <= 1:
-            raise ValueError(f"ratio must lie in [0, 1], got {self.ratio}")
-        alpha = _check_int("alpha", self.alpha)
-        if alpha < 0:
-            raise ValueError(f"alpha must be >= 0, got {alpha}")
-
-    @classmethod
-    def from_params(cls, params: SystemParams) -> "ChurnOutcome":
-        ratio = churn_ratio(params.c, params.delta)
-        return cls(ratio=ratio, alpha=replaced_count(params.n, ratio))
-
-
-@dataclass(frozen=True)
-class ProbeQuery:
-    """A probing/core size together with the numeric mode to use."""
-
-    q: int
-    mode: Mode = "auto"
-
-    def __post_init__(self) -> None:
-        q = _check_int("q", self.q)
-        if q < 0:
-            raise ValueError(f"q must be >= 0, got {q}")
-        if self.mode not in ("exact", "logspace", "auto"):
-            raise ValueError(f"unknown mode {self.mode!r}")
-
-
-@dataclass(frozen=True)
 class MissProbability:
     """The probability eps that probing misses every surviving core node.
 
@@ -132,10 +64,6 @@ class MissProbability:
     epsilon: Union[Fraction, float]
     mode: Literal["exact", "logspace"]
     log_epsilon: float | None = None
-
-    @property
-    def p_hit(self) -> Union[Fraction, float]:
-        return 1 - self.epsilon
 
 
 def churn_ratio(c: RatioLike, delta: int) -> float:
@@ -256,28 +184,15 @@ def miss_probability(
             )
         eps = Fraction(total, binomial_exact(n, q) * binomial_exact(n, alpha))
         return MissProbability(epsilon=eps, mode="exact")
-    terms = [
-        ln_binomial(n + k - q, q) * ln_binomial(q, k) * ln_binomial(n - q, alpha - k)
+    log_terms = [
+        ln_binomial(n + k - q, q) + ln_binomial(q, k) + ln_binomial(n - q, alpha - k)
         for k in range(a, b + 1)
     ]
-    ratio = log_sum_exp(terms) / (ln_binomial(n, q) * ln_binomial(n, alpha))
+    log_denominator = ln_binomial(n, q) + ln_binomial(n, alpha)
+    if log_denominator == -math.inf:
+        raise ZeroDivisionError("miss probability over a zero denominator")
     # Accumulated float error can push ln(eps) a hair above 0; clamp.
-    log_eps = min(ratio.log, 0.0)
+    log_eps = min(log_sum_exp(log_terms) - log_denominator, 0.0)
     return MissProbability(
         epsilon=math.exp(log_eps), mode="logspace", log_epsilon=log_eps
     )
-
-
-def miss_probability_for(
-    params: SystemParams, probe: ProbeQuery | int
-) -> MissProbability:
-    """Miss probability for a churn process described by SystemParams.
-
-    Bridges the churn model to the replacement count: alpha is derived
-    through ``churn_ratio`` and ``replaced_count``, then the query is
-    evaluated by ``miss_probability``.
-    """
-    if isinstance(probe, numbers.Integral):
-        probe = ProbeQuery(int(probe))
-    outcome = params.churn_outcome()
-    return miss_probability(params.n, outcome.alpha, probe.q, probe.mode)

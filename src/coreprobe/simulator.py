@@ -165,7 +165,6 @@ class AnalyticComparison:
     report: TrialReport
     alpha: int
     epsilon_analytic: float
-    epsilon_empirical: float
     z_score: float | None
     flagged: bool  # |z| > 3, or z undefined
 
@@ -469,7 +468,6 @@ def compare_with_analytic(
         report=report,
         alpha=alpha,
         epsilon_analytic=eps,
-        epsilon_empirical=report.epsilon_hat,
         z_score=z,
         flagged=z is None or abs(z) > 3.0,
     )

@@ -10,7 +10,6 @@ search.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -26,7 +25,6 @@ from .persistence import (
 
 __all__ = [
     "InfeasibleError",
-    "TuningTarget",
     "CoreSizeResult",
     "LifetimeResult",
     "MaxDeltaResult",
@@ -52,23 +50,6 @@ _RATIO_SLACK = 1e-9
 
 class InfeasibleError(Exception):
     """No parameter value can meet the requested target."""
-
-
-@dataclass(frozen=True)
-class TuningTarget:
-    """A target miss probability, exclusive at both ends."""
-
-    epsilon_max: Probability
-
-    def __post_init__(self) -> None:
-        if not 0 < self.epsilon_max < 1:
-            raise ValueError(
-                f"epsilon_max must lie in (0, 1), got {self.epsilon_max}"
-            )
-
-    @classmethod
-    def from_hit_probability(cls, p_min: Probability) -> "TuningTarget":
-        return cls(epsilon_max=1 - p_min)
 
 
 @dataclass(frozen=True)
@@ -113,31 +94,30 @@ def min_core_size(
     cannot meet the target (which happens only when alpha = n: every
     initial node was replaced, so probing cannot find a core member).
     """
-    target = TuningTarget(epsilon_max).epsilon_max
+    if not 0 < epsilon_max < 1:
+        raise ValueError(f"epsilon_max must lie in (0, 1), got {epsilon_max}")
     n = _check_int("n", n)
     alpha = _check_int("alpha", alpha)
 
     def eps(q: int) -> Probability:
         return miss_probability(n, alpha, q, mode).epsilon
 
-    if eps(n) > target:
+    if eps(n) > epsilon_max:
         raise InfeasibleError(
-            f"no core size q <= n={n} reaches epsilon <= {target} "
+            f"no core size q <= n={n} reaches epsilon <= {epsilon_max} "
             f"at alpha={alpha}"
         )
     hi = 1
-    while hi < n and eps(hi) > target:
+    while hi < n and eps(hi) > epsilon_max:
         hi = min(2 * hi, n)
-    lo = hi // 2  # eps(lo) > target whenever lo > 0
+    lo = hi // 2  # eps(lo) > epsilon_max whenever lo > 0
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if eps(mid) <= target:
+        if eps(mid) <= epsilon_max:
             hi = mid
         else:
             lo = mid
-    # hi is feasible; check whether q=0 (always eps=1, infeasible for
-    # targets < 1) could be undercut -- it cannot, so hi >= 1 stands
-    # unless eps(0) were feasible, which TuningTarget rules out.
+    # hi >= 1 is minimal: q = 0 gives eps = 1, which no target < 1 meets.
     q = hi
     return CoreSizeResult(
         q=q,
@@ -220,7 +200,8 @@ def max_delta(
     nothing replaced) already violates the target; returns a capped
     result when every delta up to ``horizon`` is still feasible.
     """
-    target = TuningTarget(epsilon_max).epsilon_max
+    if not 0 < epsilon_max < 1:
+        raise ValueError(f"epsilon_max must lie in (0, 1), got {epsilon_max}")
     n = _check_int("n", n)
     q = _check_int("q", q)
     if q < 1:
@@ -235,21 +216,21 @@ def max_delta(
         alpha = replaced_count(n, churn_ratio(c, delta))
         return miss_probability(n, alpha, q, mode).epsilon
 
-    if eps(0) > target:
+    if eps(0) > epsilon_max:
         raise InfeasibleError(
-            f"even a static system (delta=0) exceeds epsilon={target} "
+            f"even a static system (delta=0) exceeds epsilon={epsilon_max} "
             f"at n={n}, q={q}"
         )
-    if eps(horizon) <= target:
+    if eps(horizon) <= epsilon_max:
         return MaxDeltaResult(
             delta=horizon, epsilon=eps(horizon), epsilon_next=None, capped=True
         )
-    lo, hi = 0, 1  # eps(lo) <= target; grow hi until it violates
-    while eps(hi) <= target:
+    lo, hi = 0, 1  # eps(lo) <= epsilon_max; grow hi until it violates
+    while eps(hi) <= epsilon_max:
         lo, hi = hi, min(2 * hi, horizon)
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if eps(mid) <= target:
+        if eps(mid) <= epsilon_max:
             lo = mid
         else:
             hi = mid

@@ -106,6 +106,9 @@ class TestProb:
         assert invoke(
             runner, "prob", "--n", "10", "--q", "2", "--c", "1%"
         ).exit_code == 2
+        assert invoke(
+            runner, "prob", "--n", "0", "--q", "0", "--alpha", "0"
+        ).exit_code == 2
 
 
 class TestSize:
@@ -324,10 +327,48 @@ class TestSweep:
             ("sweep", "C", "--n", "40", "--q", "5", "--values", "10%", "--c", "1%"),
             ("sweep", "epsilon", "--n", "40", "--C", "10%", "--values", "1%", "--q", "5"),
             ("sweep", "q", "--alpha", "10", "--values", "3"),
+            ("sweep", "delta", "--n", "40", "--q", "5", "--c", "1%", "--delta", "3",
+             "--values", "3"),
+            ("sweep", "C", "--n", "40", "--values", "10%"),
         ],
     )
     def test_usage_errors_exit_2(self, runner, args):
         assert invoke(runner, *args).exit_code == 2
+
+    # Each point fills the flag of its name and goes through the same
+    # churn-form resolver as prob and size, so every row must equal the
+    # single-scenario record: prob for evaluated sweeps, size for epsilon.
+    @pytest.mark.parametrize(
+        "variable,values,fixed",
+        [
+            ("q", "70,79", ["--n", "1000", "--C", "30%"]),
+            ("q", "3,5", ["--n", "40", "--alpha", "10"]),
+            ("q", "10,30", ["--n", "5000", "--c", "0.1%", "--delta", "50"]),
+            ("delta", "0,105,356", ["--n", "1000", "--q", "79", "--c", "0.1%"]),
+            ("c", "0.1%,1/300", ["--n", "3000", "--q", "100", "--delta", "10"]),
+            ("C", "static,7%,1/3", ["--n", "100", "--q", "10"]),
+            ("epsilon", "10%,1%", ["--n", "200", "--C", "30%"]),
+            ("epsilon", "1%,0.1%", ["--n", "1000", "--alpha", "300"]),
+            ("epsilon", "1%", ["--n", "10000", "--c", "0.1%", "--delta", "105"]),
+        ],
+    )
+    def test_rows_equal_single_scenario_records(self, runner, variable, values, fixed):
+        result = invoke(runner, "sweep", variable, "--values", values, *fixed, "--json")
+        assert result.exit_code == 0
+        tokens = values.split(",")
+        rows = json.loads(result.output)
+        assert len(rows) == len(tokens)
+        for token, row in zip(tokens, rows):
+            if variable == "epsilon":
+                single = invoke(runner, "size", "--epsilon", token, *fixed, "--json")
+                record = json.loads(single.output)
+                assert (row["q"], row["epsilon"]) == (record["q"], record["epsilon"])
+            else:
+                single = invoke(runner, "prob", f"--{variable}", token, *fixed, "--json")
+                record = json.loads(single.output)
+                assert (row["epsilon"], row["alpha"], row["C"]) == (
+                    record["epsilon"], record["alpha"], record["C"]
+                )
 
 
 class TestSimulate:

@@ -12,7 +12,6 @@ from coreprobe import (
     InfeasibleError,
     LifetimeResult,
     MaxDeltaResult,
-    TuningTarget,
     churn_rate_for,
     churn_ratio,
     delta_for_churn,
@@ -26,18 +25,20 @@ from conftest import GRID_N
 
 
 class TestTuningTarget:
+    # The miss target epsilon_max must lie in the open interval (0, 1);
+    # min_core_size and max_delta check it the same way.
     def test_accepts_interior_values(self):
-        assert TuningTarget(Fraction(1, 100)).epsilon_max == Fraction(1, 100)
-        assert TuningTarget(0.5).epsilon_max == 0.5
+        assert min_core_size(100, 10, Fraction(1, 100)).epsilon <= Fraction(1, 100)
+        assert min_core_size(100, 10, 0.5).epsilon <= 0.5
+        assert max_delta(1000, 79, 1e-3, Fraction(1, 100)).epsilon <= Fraction(1, 100)
+        assert max_delta(1000, 79, 1e-3, 0.5).epsilon <= 0.5
 
     @pytest.mark.parametrize("bad", [0, 1, Fraction(0), Fraction(1), -0.1, 1.5])
     def test_rejects_boundary_and_outside(self, bad):
         with pytest.raises(ValueError):
-            TuningTarget(bad)
-
-    def test_from_hit_probability_complements(self):
-        target = TuningTarget.from_hit_probability(Fraction(99, 100))
-        assert target.epsilon_max == Fraction(1, 100)
+            min_core_size(100, 10, bad)
+        with pytest.raises(ValueError):
+            max_delta(1000, 79, 1e-3, bad)
 
 
 class TestMinCoreSize:
