@@ -51,6 +51,10 @@ from .solvers import (
 
 _MODE = click.Choice(["auto", "exact", "logspace"])
 
+# A --start/--stop/--step sweep with more points than this exits 2
+# before building any of them.
+MAX_SWEEP_POINTS = 10**6
+
 
 def parse_ratio(text: str, *, allow_static: bool = False) -> Fraction:
     """Parse a ratio token to an exact rational.
@@ -441,14 +445,16 @@ def _sweep_points(variable, start, stop, step, values):
         inc = convert(step)
     if inc <= 0:
         raise click.UsageError("--step must be positive")
-    points = []
-    value = lo
-    while value <= hi:
-        points.append(value)
-        value = value + inc
-    if not points:
+    if hi < lo:
         raise click.UsageError("empty sweep range")
-    return points
+    # Exact for ints and Fractions alike, so the count is known before
+    # any point is built.
+    count = (hi - lo) // inc + 1
+    if count > MAX_SWEEP_POINTS:
+        raise click.UsageError(
+            f"sweep has {count} points; at most {MAX_SWEEP_POINTS} are allowed"
+        )
+    return [lo + i * inc for i in range(count)]
 
 
 @main.command()

@@ -175,13 +175,24 @@ def miss_probability(
     resolved = _resolve_mode(n, mode)
     a, b = support_bounds(n, q, alpha)
     if resolved == "exact":
+        # Terms below k0 vanish (C(n+k-q, q) = 0 while n+k-q < q).  From
+        # k0 on, each term is the previous one times a ratio of small
+        # integers, so one big multiply and one exact division per step
+        # replace three big binomials per term; no float is involved.
+        k0 = max(a, 2 * q - n)
         total = 0
-        for k in range(a, b + 1):
-            total += (
-                binomial_exact(n + k - q, q)
-                * binomial_exact(q, k)
-                * binomial_exact(n - q, alpha - k)
+        if k0 <= b:
+            term = (
+                binomial_exact(n + k0 - q, q)
+                * binomial_exact(q, k0)
+                * binomial_exact(n - q, alpha - k0)
             )
+            total = term
+            for k in range(k0, b):
+                term = term * ((n + k + 1 - q) * (q - k) * (alpha - k)) // (
+                    (n + k + 1 - 2 * q) * (k + 1) * (n - q - alpha + k + 1)
+                )
+                total += term
         eps = Fraction(total, binomial_exact(n, q) * binomial_exact(n, alpha))
         return MissProbability(epsilon=eps, mode="exact")
     log_terms = [

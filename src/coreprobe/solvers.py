@@ -18,6 +18,8 @@ from .persistence import (
     Mode,
     RatioLike,
     _check_int,
+    _check_urn,
+    _resolve_mode,
     churn_ratio,
     miss_probability,
     replaced_count,
@@ -88,29 +90,53 @@ def min_core_size(
 ) -> CoreSizeResult:
     """Smallest q whose miss probability does not exceed epsilon_max.
 
-    Exploits that the miss probability is non-increasing in q:
-    exponential growth finds a feasible q, then binary search pins the
-    boundary.  Raises InfeasibleError when even probing all n nodes
-    cannot meet the target (which happens only when alpha = n: every
-    initial node was replaced, so probing cannot find a core member).
+    Exploits that the miss probability is non-increasing in q, from
+    eps(0) = 1 down to eps(n) = 0 (alpha < n) or 1 (alpha = n).  The
+    search starts at the paper's asymptote eps ~ exp(-q^2 (1-C) / n),
+    i.e. q0 = n sqrt(ln(1/epsilon_max) / (n - alpha)) clamped to [1, n],
+    gallops outward from q0 in doubling steps until the boundary is
+    bracketed, then bisects.  Every eps(q) is evaluated at most once,
+    so the witness pair comes from the search itself.  Raises
+    InfeasibleError when alpha = n: every initial node was replaced, so
+    no probe can find a core member.
     """
     if not 0 < epsilon_max < 1:
         raise ValueError(f"epsilon_max must lie in (0, 1), got {epsilon_max}")
-    n = _check_int("n", n)
-    alpha = _check_int("alpha", alpha)
-
-    def eps(q: int) -> Probability:
-        return miss_probability(n, alpha, q, mode).epsilon
-
-    if eps(n) > epsilon_max:
+    n, _, alpha = _check_urn(n, 0, alpha)
+    _resolve_mode(n, mode)
+    if alpha == n:
         raise InfeasibleError(
             f"no core size q <= n={n} reaches epsilon <= {epsilon_max} "
             f"at alpha={alpha}"
         )
-    hi = 1
-    while hi < n and eps(hi) > epsilon_max:
-        hi = min(2 * hi, n)
-    lo = hi // 2  # eps(lo) > epsilon_max whenever lo > 0
+    memo: dict[int, Probability] = {}
+
+    def eps(q: int) -> Probability:
+        if q not in memo:
+            memo[q] = miss_probability(n, alpha, q, mode).epsilon
+        return memo[q]
+
+    # Logs of numerator and denominator: a Fraction target such as
+    # 10^-400 would round to 0.0 as a float.
+    log_target = (
+        math.log(epsilon_max.numerator) - math.log(epsilon_max.denominator)
+        if isinstance(epsilon_max, Fraction)
+        else math.log(epsilon_max)
+    )
+    seed = min(max(round(n * math.sqrt(-log_target / (n - alpha))), 1), n)
+    # Bracket with eps(lo) > epsilon_max >= eps(hi), taking eps(0) = 1 and
+    # eps(n) = 0 as known without evaluating them (so seed < n below).
+    step = 1
+    if eps(seed) <= epsilon_max:
+        lo, hi = seed - 1, seed
+        while lo > 0 and eps(lo) <= epsilon_max:
+            hi, step = lo, 2 * step
+            lo = max(hi - step, 0)
+    else:
+        lo, hi = seed, seed + 1
+        while hi < n and eps(hi) > epsilon_max:
+            lo, step = hi, 2 * step
+            hi = min(lo + step, n)
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if eps(mid) <= epsilon_max:
@@ -118,12 +144,7 @@ def min_core_size(
         else:
             lo = mid
     # hi >= 1 is minimal: q = 0 gives eps = 1, which no target < 1 meets.
-    q = hi
-    return CoreSizeResult(
-        q=q,
-        epsilon=eps(q),
-        epsilon_prev=eps(q - 1) if q > 0 else None,
-    )
+    return CoreSizeResult(q=hi, epsilon=eps(hi), epsilon_prev=eps(hi - 1))
 
 
 def delta_for_churn(c: RatioLike, ratio_max: RatioLike) -> LifetimeResult:
@@ -212,9 +233,14 @@ def max_delta(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
+    # Many deltas share one replaced count, so memoize per alpha.
+    memo: dict[int, Probability] = {}
+
     def eps(delta: int) -> Probability:
         alpha = replaced_count(n, churn_ratio(c, delta))
-        return miss_probability(n, alpha, q, mode).epsilon
+        if alpha not in memo:
+            memo[alpha] = miss_probability(n, alpha, q, mode).epsilon
+        return memo[alpha]
 
     if eps(0) > epsilon_max:
         raise InfeasibleError(

@@ -1,13 +1,15 @@
 """Tests for the command-line surface: parsing, formats, exit codes."""
 
 import json
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
 from coreprobe import churn_ratio, miss_probability, min_core_size
-from coreprobe.cli import main, parse_ratio
+from coreprobe.cli import MAX_SWEEP_POINTS, main, parse_ratio
 
 
 @pytest.fixture()
@@ -334,6 +336,32 @@ class TestSweep:
     )
     def test_usage_errors_exit_2(self, runner, args):
         assert invoke(runner, *args).exit_code == 2
+
+    def test_oversized_range_exits_2_before_building_points(self, runner):
+        # 10^9 + 1 points: the count is checked before any point exists,
+        # so the call fails fast and its peak allocation stays far below
+        # the size of even a MAX_SWEEP_POINTS-long list.
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            result = invoke(
+                runner, "sweep", "c", "--n", "100", "--q", "10", "--delta", "3",
+                "--start", "0", "--stop", "1", "--step", "1e-9", "--json",
+            )
+            elapsed = time.perf_counter() - started
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.exit_code == 2
+        assert "1000000001 points" in result.output
+        assert elapsed < 1.0
+        assert peak < 8 * MAX_SWEEP_POINTS // 10
+
+    def test_range_at_point_limit_is_accepted(self, monkeypatch, runner):
+        monkeypatch.setattr("coreprobe.cli.MAX_SWEEP_POINTS", 3)
+        base = ("sweep", "q", "--n", "40", "--alpha", "10", "--start", "1")
+        assert invoke(runner, *base, "--stop", "3").exit_code == 0
+        assert invoke(runner, *base, "--stop", "4").exit_code == 2
 
     # Each point fills the flag of its name and goes through the same
     # churn-form resolver as prob and size, so every row must equal the

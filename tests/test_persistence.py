@@ -195,6 +195,32 @@ class TestMissProbability:
             for alpha in range(n):
                 assert miss_probability(n, alpha, n, mode="exact").epsilon == 0
 
+    def test_term_recurrence_matches_reference_where_terms_vanish(self):
+        # The exact branch starts its term recurrence at k0 = max(a, 2q-n)
+        # because C(n+k-q, q) = 0 below it.  Check it against the
+        # independent term-by-term reference where leading terms vanish
+        # (2q > n, so k0 > a), where every term vanishes (alpha = 0 with
+        # 2q > n), at alpha and q in {0, n}, and at n in {1, 2}.
+        cases = {(n, alpha, q) for n in (1, 2) for alpha in range(n + 1)
+                 for q in range(n + 1)}
+        for n in (9, 10, 31, 100, 257):
+            for q in (0, 1, n // 2, n // 2 + 1, (3 * n) // 4, n - 1, n):
+                for alpha in (0, 1, n // 3, n - q, 2 * q - n, q - 1, n - 1, n):
+                    if 0 <= alpha <= n:
+                        cases.add((n, alpha, q))
+        leading_vanish = all_vanish = 0
+        for n, alpha, q in sorted(cases):
+            got = miss_probability(n, alpha, q, mode="exact").epsilon
+            assert got == helpers.miss_probability_reference(n, alpha, q), (n, alpha, q)
+            a, b = support_bounds(n, q, alpha)
+            k0 = max(a, 2 * q - n)
+            leading_vanish += a < k0 <= b
+            if k0 > b:
+                all_vanish += 1
+                assert got == 0, (n, alpha, q)
+        assert leading_vanish >= 30
+        assert all_vanish >= 30
+
     def test_static_sizing_anchor_at_ten_thousand(self):
         assert float(miss_probability(10_000, 0, 213).epsilon) <= 0.01
         assert float(miss_probability(10_000, 0, 212).epsilon) > 0.01
