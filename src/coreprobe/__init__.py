@@ -5,17 +5,14 @@ invert them (core sizing, probe deadlines, churn budgets), and a Monte
 Carlo simulator that checks the closed forms independently.
 """
 
-from .combinatorics import (
-    binomial_exact,
-    ln_binomial,
-    log_sum_exp,
-)
 from .persistence import (
     EXACT_N_LIMIT,
     MissProbability,
+    binomial_exact,
     churn_ratio,
     conditional_miss,
     hypergeometric_pmf,
+    ln_binomial,
     miss_probability,
     replaced_count,
     support_bounds,
@@ -49,7 +46,6 @@ __version__ = "0.1.0"
 __all__ = [
     "binomial_exact",
     "ln_binomial",
-    "log_sum_exp",
     "EXACT_N_LIMIT",
     "MissProbability",
     "churn_ratio",

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -96,20 +97,26 @@ def _domain_guard(fn):
         try:
             return fn(*args, **kwargs)
         except InfeasibleError as exc:
-            click.echo(f"infeasible: {exc}", err=True)
+            _echo(f"infeasible: {exc}", err=True)
             sys.exit(3)
         except (ValueError, OverflowError) as exc:
-            click.echo(f"error: {exc}", err=True)
+            _echo(f"error: {exc}", err=True)
             sys.exit(2)
         except MemoryError as exc:
-            click.echo(f"error: out of memory: {exc}", err=True)
+            _echo(f"error: out of memory: {exc}", err=True)
             sys.exit(2)
 
     return wrapper
 
 
+def _echo(message: str, err: bool = False) -> None:
+    # Named explicitly: a stream click finds itself stays cached, and
+    # alive, for good, so in-process calls would leak their output.
+    click.echo(message, file=sys.stderr if err else sys.stdout)
+
+
 def _emit_json(record) -> None:
-    click.echo(json.dumps(record, sort_keys=True, indent=2, allow_nan=False))
+    _echo(json.dumps(record, sort_keys=True, indent=2, allow_nan=False))
 
 
 def _f17(value: float) -> str:
@@ -129,7 +136,7 @@ def _csv_cell(value) -> str:
 def _emit_csv(header: list[str], rows: list[list]) -> None:
     lines = [",".join(header)]
     lines.extend(",".join(_csv_cell(c) for c in row) for row in rows)
-    click.echo("\n".join(lines))
+    _echo("\n".join(lines))
 
 
 def _fmt_prob(value) -> str:
@@ -226,13 +233,15 @@ def prob(n, q, alpha, cap_c, c_rate, delta, mode, as_json):
         if result.mode == "exact":
             record["epsilon_rational"] = str(epsilon)
         else:
-            record["log_epsilon"] = result.log_epsilon
+            # eps = 0 has ln(eps) = -inf, which strict JSON cannot carry.
+            log_eps = result.log_epsilon
+            record["log_epsilon"] = None if log_eps == -math.inf else log_eps
         _emit_json(record)
         return
-    click.echo(f"n = {n}  q = {q}  alpha = {alpha}  (C = {float(ratio):.6g})")
-    click.echo(f"mode = {result.mode}")
-    click.echo(f"epsilon = {_fmt_prob(epsilon)}")
-    click.echo(f"p = {_fmt_prob(1 - epsilon)}")
+    _echo(f"n = {n}  q = {q}  alpha = {alpha}  (C = {float(ratio):.6g})")
+    _echo(f"mode = {result.mode}")
+    _echo(f"epsilon = {_fmt_prob(epsilon)}")
+    _echo(f"p = {_fmt_prob(1 - epsilon)}")
 
 
 @main.command()
@@ -273,10 +282,10 @@ def size(n, epsilon, p, alpha, cap_c, c_rate, delta, mode, as_json):
         }
         _emit_json(record)
         return
-    click.echo(f"q = {result.q}")
-    click.echo(f"epsilon({result.q}) = {_fmt_prob(result.epsilon)}")
+    _echo(f"q = {result.q}")
+    _echo(f"epsilon({result.q}) = {_fmt_prob(result.epsilon)}")
     if result.epsilon_prev is not None:
-        click.echo(f"epsilon({result.q - 1}) = {_fmt_prob(result.epsilon_prev)}")
+        _echo(f"epsilon({result.q - 1}) = {_fmt_prob(result.epsilon_prev)}")
 
 
 @main.command()
@@ -313,9 +322,9 @@ def lifetime(c, budget, n, q, epsilon, p, horizon, mode, as_json):
                 }
             )
             return
-        click.echo(f"delta = {result.delta}")
-        click.echo(f"C({result.delta}) = {result.ratio:.6g}")
-        click.echo(f"C({result.delta + 1}) = {result.ratio_next:.6g}")
+        _echo(f"delta = {result.delta}")
+        _echo(f"C({result.delta}) = {result.ratio:.6g}")
+        _echo(f"C({result.delta + 1}) = {result.ratio_next:.6g}")
         return
     if n is None or q is None:
         raise click.UsageError("give --C, or --n and --q with a target")
@@ -338,12 +347,12 @@ def lifetime(c, budget, n, q, epsilon, p, horizon, mode, as_json):
             }
         )
         return
-    click.echo(f"delta = {result.delta}")
-    click.echo(f"epsilon({result.delta}) = {_fmt_prob(result.epsilon)}")
+    _echo(f"delta = {result.delta}")
+    _echo(f"epsilon({result.delta}) = {_fmt_prob(result.epsilon)}")
     if result.epsilon_next is not None:
-        click.echo(f"epsilon({result.delta + 1}) = {_fmt_prob(result.epsilon_next)}")
+        _echo(f"epsilon({result.delta + 1}) = {_fmt_prob(result.epsilon_next)}")
     if result.capped:
-        click.echo("capped: target still met at the search horizon")
+        _echo("capped: target still met at the search horizon")
 
 
 @main.command()
@@ -362,7 +371,7 @@ def churn(ratio, delta, as_json):
     if as_json:
         _emit_json({"C": float(ratio), "delta": delta, "c": c})
         return
-    click.echo(f"c = {c:.6g}")
+    _echo(f"c = {c:.6g}")
 
 
 @main.command()
@@ -422,9 +431,9 @@ def table(n_list, p_list, c_list, mode, as_csv, as_json):
     if as_csv:
         _emit_csv(["n", "p", "C", "q", "epsilon"], rows)
         return
-    click.echo(f"{'n':>8} {'p':>8} {'C':>8} {'q':>8}  epsilon")
+    _echo(f"{'n':>8} {'p':>8} {'C':>8} {'q':>8}  epsilon")
     for n, p_tok, c_tok, q, eps in rows:
-        click.echo(f"{n:>8} {p_tok:>8} {c_tok:>8} {q:>8}  {eps:.6g}")
+        _echo(f"{n:>8} {p_tok:>8} {c_tok:>8} {q:>8}  {eps:.6g}")
 
 
 def _sweep_points(variable, start, stop, step, values):
@@ -578,24 +587,24 @@ def simulate(model, n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
         }
         _emit_json(record)
     else:
-        click.echo(f"model = {inferred}  trials = {report.trials}  seed = {seed}")
-        click.echo(f"misses = {report.misses}")
-        click.echo(f"epsilon_hat = {report.epsilon_hat:.6g}")
-        click.echo(f"ci99 = [{report.ci_low:.6g}, {report.ci_high:.6g}]")
+        _echo(f"model = {inferred}  trials = {report.trials}  seed = {seed}")
+        _echo(f"misses = {report.misses}")
+        _echo(f"epsilon_hat = {report.epsilon_hat:.6g}")
+        _echo(f"ci99 = [{report.ci_low:.6g}, {report.ci_high:.6g}]")
         if report.survivor_mean is not None:
-            click.echo(
+            _echo(
                 f"core survivors: mean = {report.survivor_mean:.6g}"
                 f"  stddev = {report.survivor_stddev:.6g}"
             )
-        click.echo(f"alpha (analytic) = {cmp.alpha}")
-        click.echo(f"epsilon_analytic = {cmp.epsilon_analytic:.6g}")
-        click.echo("z = undefined" if cmp.z_score is None else f"z = {cmp.z_score:.4g}")
+        _echo(f"alpha (analytic) = {cmp.alpha}")
+        _echo(f"epsilon_analytic = {cmp.epsilon_analytic:.6g}")
+        _echo("z = undefined" if cmp.z_score is None else f"z = {cmp.z_score:.4g}")
     if check and cmp.flagged:
         if cmp.z_score is None:
             reason = "z undefined (analytic standard error 0, estimate differs)"
         else:
             reason = f"|z| = {abs(cmp.z_score):.4g} > 3"
-        click.echo(f"z-check failed: {reason}", err=True)
+        _echo(f"z-check failed: {reason}", err=True)
         sys.exit(4)
 
 

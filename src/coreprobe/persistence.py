@@ -8,13 +8,12 @@ querier later probes q nodes chosen uniformly without replacement.
 ``miss_probability`` is the chance that no probe lands on a surviving
 core member:
 
-    eps = sum_{k=a}^{b} C(n+k-q, q) C(q, k) C(n-q, alpha-k)
-          -------------------------------------------------
-                        C(n, q) C(n, alpha)
+    eps = sum_{k=k0}^{b} C(n+k-q, q) C(alpha, k) C(n-alpha, q-k) / C(n, q)^2
 
-with a = max(0, alpha-n+q) and b = min(alpha, q).  The summand factors
-as (number of core members among the replaced = k, hypergeometric) times
-(probability all q probes avoid the q-k survivors).
+with a = max(0, alpha-n+q), b = min(alpha, q), k0 = max(a, 2q-n) (terms
+below k0 vanish).  The summand factors as (k of the q core members were
+replaced, hypergeometric) times (all q probes avoid the q-k survivors,
+C(n+k-q, q) / C(n, q)).  Every lower binomial index is at most q.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Union
 
-from .combinatorics import binomial_exact, ln_binomial, log_sum_exp
-
 __all__ = [
+    "binomial_exact",
+    "ln_binomial",
     "EXACT_N_LIMIT",
     "MissProbability",
     "churn_ratio",
@@ -44,6 +43,43 @@ RatioLike = Union[int, float, Fraction]
 # "auto" numeric mode resolves to exact big-rational arithmetic up to
 # this population size and to log-space floats above it.
 EXACT_N_LIMIT = 2000
+
+_TOP_BITS = 60
+# A logspace term above 2^600 is rescaled by 2^-600; one step multiplies
+# it by less than n^3, well inside the 2^423 of headroom left.
+_RESCALE_BITS = 600
+_RESCALE = 2.0**_RESCALE_BITS
+_LN2 = math.log(2.0)
+
+
+def binomial_exact(m: int, r: int) -> int:
+    """C(m, r) as an exact integer; 0 whenever r < 0 or r > m.
+
+    The out-of-range-gives-zero convention keeps sums over binomial
+    products total at degenerate boundaries.
+    """
+    if m < 0:
+        raise ValueError(f"binomial_exact requires m >= 0, got m={m}")
+    if r < 0 or r > m:
+        return 0
+    return math.comb(m, r)
+
+
+def _ln_ratio(x: int, y: int = 1) -> float:
+    """ln(x / y) for positive integers, from their top 60 bits.
+
+    The tops divide to a float in (1/2, 2) and the binary exponents
+    cancel as integers, so the error is a few ulps of the result itself.
+    """
+    top_x = (x << _TOP_BITS) >> x.bit_length()
+    top_y = (y << _TOP_BITS) >> y.bit_length()
+    return math.log(top_x / top_y) + (x.bit_length() - y.bit_length()) * _LN2
+
+
+def ln_binomial(m: int, r: int) -> float:
+    """ln C(m, r) from the exact integer; -inf (exact zero) when r < 0 or r > m."""
+    value = binomial_exact(m, r)
+    return _ln_ratio(value) if value else -math.inf
 
 
 def _check_int(name: str, value: object) -> int:
@@ -162,6 +198,31 @@ def _resolve_mode(n: int, mode: Mode) -> Literal["exact", "logspace"]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
+def _summand(n: int, alpha: int, q: int):
+    """(anchor, denominator, steps) of the sum in the module docstring.
+
+    anchor is the exact first term T(k0), 0 when every term vanishes;
+    denominator is C(n, q)^2; steps yields integer pairs (num, den) with
+    T(k+1) = T(k) * num / den, a division that is exact in integers.
+    """
+    a, b = support_bounds(n, q, alpha)
+    k0 = max(a, 2 * q - n)
+    denominator = math.comb(n, q) ** 2
+    if k0 > b:
+        return 0, denominator, ()
+    anchor = (
+        math.comb(n + k0 - q, q) * math.comb(alpha, k0) * math.comb(n - alpha, q - k0)
+    )
+    steps = (
+        (
+            (n + k + 1 - q) * (alpha - k) * (q - k),
+            (n + k + 1 - 2 * q) * (k + 1) * (n - alpha - q + k + 1),
+        )
+        for k in range(k0, b)
+    )
+    return anchor, denominator, steps
+
+
 def miss_probability(
     n: int, alpha: int, q: int, mode: Mode = "auto"
 ) -> MissProbability:
@@ -169,41 +230,34 @@ def miss_probability(
 
     ``alpha`` of the n nodes were replaced since the core of q nodes was
     installed.  The value is the full sum over the possible number k of
-    replaced core members; no special case short-circuits it.
+    replaced core members; no special case short-circuits it.  Exact
+    mode steps the terms in integers; logspace steps them in floats
+    relative to the exact anchor and adds back the anchor's log.
     """
     n, q, alpha = _check_urn(n, q, alpha)
     resolved = _resolve_mode(n, mode)
-    a, b = support_bounds(n, q, alpha)
+    anchor, denominator, steps = _summand(n, alpha, q)
     if resolved == "exact":
-        # Terms below k0 vanish (C(n+k-q, q) = 0 while n+k-q < q).  From
-        # k0 on, each term is the previous one times a ratio of small
-        # integers, so one big multiply and one exact division per step
-        # replace three big binomials per term; no float is involved.
-        k0 = max(a, 2 * q - n)
-        total = 0
-        if k0 <= b:
-            term = (
-                binomial_exact(n + k0 - q, q)
-                * binomial_exact(q, k0)
-                * binomial_exact(n - q, alpha - k0)
-            )
-            total = term
-            for k in range(k0, b):
-                term = term * ((n + k + 1 - q) * (q - k) * (alpha - k)) // (
-                    (n + k + 1 - 2 * q) * (k + 1) * (n - q - alpha + k + 1)
-                )
-                total += term
-        eps = Fraction(total, binomial_exact(n, q) * binomial_exact(n, alpha))
-        return MissProbability(epsilon=eps, mode="exact")
-    log_terms = [
-        ln_binomial(n + k - q, q) + ln_binomial(q, k) + ln_binomial(n - q, alpha - k)
-        for k in range(a, b + 1)
-    ]
-    log_denominator = ln_binomial(n, q) + ln_binomial(n, alpha)
-    if log_denominator == -math.inf:
-        raise ZeroDivisionError("miss probability over a zero denominator")
-    # Accumulated float error can push ln(eps) a hair above 0; clamp.
-    log_eps = min(log_sum_exp(log_terms) - log_denominator, 0.0)
+        term = total = anchor
+        for num, den in steps:
+            term = term * num // den
+            total += term
+        return MissProbability(epsilon=Fraction(total, denominator), mode="exact")
+    if not anchor:
+        return MissProbability(epsilon=0.0, mode="logspace", log_epsilon=-math.inf)
+    term = total = 1.0
+    rescales = 0
+    for num, den in steps:
+        term *= num / den
+        total += term
+        if term > _RESCALE:
+            term /= _RESCALE
+            total /= _RESCALE
+            rescales += 1
+    # Float error can push ln(eps) a hair above 0; clamp.
+    log_eps = min(
+        math.log(total) + _ln_ratio(anchor << rescales * _RESCALE_BITS, denominator), 0.0
+    )
     return MissProbability(
         epsilon=math.exp(log_eps), mode="logspace", log_epsilon=log_eps
     )

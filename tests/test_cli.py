@@ -1,8 +1,12 @@
 """Tests for the command-line surface: parsing, formats, exit codes."""
 
+import gc
+import io
 import json
 import time
 import tracemalloc
+import weakref
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -77,6 +81,24 @@ class TestProb:
         assert "epsilon_rational" not in record
         assert record["log_epsilon"] < 0
 
+    def test_json_logspace_zero_has_null_log_epsilon(self, runner):
+        # 2q > n with nothing replaced: every probe set meets the core, so
+        # eps = 0 and ln(eps) = -inf, which strict JSON carries as null.
+        args = ["prob", "--n", "3000", "--alpha", "0", "--q", "1600", "--json"]
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        for mode in ("logspace", "exact"):
+            result = invoke(runner, *args, "--mode", mode)
+            assert result.exit_code == 0, result.output
+            record = json.loads(result.output, parse_constant=reject)
+            assert record["epsilon"] == 0.0 and record["p"] == 1.0
+            assert canonical_json(result.output) == result.output
+        assert record["epsilon_rational"] == "0"
+        logspace = json.loads(invoke(runner, *args, "--mode", "logspace").output)
+        assert logspace["log_epsilon"] is None
+
     def test_churn_form_matches_ceiling_conversion(self, runner):
         # --c/--delta goes through C = 1-(1-c)^delta, alpha = ceil(C*n).
         result = invoke(
@@ -111,6 +133,25 @@ class TestProb:
         assert invoke(
             runner, "prob", "--n", "0", "--q", "0", "--alpha", "0"
         ).exit_code == 2
+
+
+class TestInProcess:
+    def test_redirected_streams_are_released(self):
+        # An in-process call must not keep the streams it printed to
+        # alive, or every call leaks its output.
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            main.main(["prob", "--n", "5", "--q", "1", "--C", "static"],
+                      standalone_mode=False)
+            with pytest.raises(SystemExit):
+                main.main(["prob", "--n", "10", "--q", "11", "--alpha", "0"],
+                          standalone_mode=False)
+        assert "epsilon = 4/5" in out.getvalue()
+        assert "error:" in err.getvalue()
+        refs = weakref.ref(out), weakref.ref(err)
+        del out, err
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
 
 
 class TestSize:

@@ -1,17 +1,16 @@
-"""Exact and log-domain binomial primitives against independent oracles."""
+"""Exact and log binomials against independent oracles."""
 
 from __future__ import annotations
 
 import math
 import random
-from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import helpers
-from coreprobe.combinatorics import binomial_exact, ln_binomial, log_sum_exp
+from coreprobe import binomial_exact, ln_binomial
 
 # Expected values are frozen from first-principles oracles in helpers.py.
 
@@ -87,45 +86,3 @@ class TestLnBinomial:
     def test_negative_m_rejected(self):
         with pytest.raises(ValueError):
             ln_binomial(-3, 1)
-
-
-class TestLogSumExp:
-    def test_two_ones_give_ln_two(self):
-        result = log_sum_exp([0.0, 0.0])
-        assert abs(result - math.log(2)) <= 1e-14
-
-    def test_empty_is_zero(self):
-        assert log_sum_exp([]) == -math.inf
-        assert log_sum_exp([-math.inf, -math.inf]) == -math.inf
-
-    def test_zero_terms_are_identity(self):
-        x = math.log(0.25)
-        assert log_sum_exp([-math.inf, x, -math.inf]) == x
-
-    def test_thousand_terms_against_rational_sum(self):
-        # Spread over [-50, 0] in the log; the oracle sums exact rationals.
-        rng = random.Random(7)
-        values = [math.exp(rng.uniform(-50.0, 0.0)) for _ in range(1000)]
-        exact = sum(Fraction(v) for v in values)
-        expected = math.log(exact.numerator) - math.log(exact.denominator)
-        result = log_sum_exp([math.log(v) for v in values])
-        assert abs(result - expected) <= 1e-12 * max(1.0, abs(expected))
-
-    def test_far_below_double_underflow_range(self):
-        # Values near e^-800 are not representable; factoring out the max
-        # gives an independent route to the answer.
-        terms = [-800.0 - 0.1 * i for i in range(100)]
-        expected = -800.0 + math.log(math.fsum(math.exp(-0.1 * i) for i in range(100)))
-        result = log_sum_exp(terms)
-        assert abs(result - expected) <= 1e-12 * abs(expected)
-
-    @given(st.lists(st.floats(min_value=-700.0, max_value=700.0), min_size=1, max_size=40),
-           st.randoms(use_true_random=False))
-    def test_permutation_invariant_bitwise(self, logs, rng):
-        shuffled = list(logs)
-        rng.shuffle(shuffled)
-        assert log_sum_exp(logs) == log_sum_exp(shuffled)
-
-    def test_positive_infinity_rejected(self):
-        with pytest.raises(OverflowError):
-            log_sum_exp([math.inf, 0.0])

@@ -196,8 +196,8 @@ class TestMissProbability:
                 assert miss_probability(n, alpha, n, mode="exact").epsilon == 0
 
     def test_term_recurrence_matches_reference_where_terms_vanish(self):
-        # The exact branch starts its term recurrence at k0 = max(a, 2q-n)
-        # because C(n+k-q, q) = 0 below it.  Check it against the
+        # Both modes start the term recurrence at k0 = max(a, 2q-n)
+        # because C(n+k-q, q) = 0 below it.  Check them against the
         # independent term-by-term reference where leading terms vanish
         # (2q > n, so k0 > a), where every term vanishes (alpha = 0 with
         # 2q > n), at alpha and q in {0, n}, and at n in {1, 2}.
@@ -210,14 +210,23 @@ class TestMissProbability:
                         cases.add((n, alpha, q))
         leading_vanish = all_vanish = 0
         for n, alpha, q in sorted(cases):
-            got = miss_probability(n, alpha, q, mode="exact").epsilon
-            assert got == helpers.miss_probability_reference(n, alpha, q), (n, alpha, q)
+            expected = helpers.miss_probability_reference(n, alpha, q)
+            assert miss_probability(n, alpha, q, mode="exact").epsilon == expected, (
+                n, alpha, q)
+            got = miss_probability(n, alpha, q, mode="logspace")
+            if expected == 0:
+                assert got.epsilon == 0.0 and got.log_epsilon == -math.inf, (n, alpha, q)
+            else:
+                log_expected = math.log(expected.numerator) - math.log(expected.denominator)
+                assert abs(got.log_epsilon - log_expected) <= 1e-10 * max(
+                    1.0, abs(log_expected)
+                ), (n, alpha, q)
             a, b = support_bounds(n, q, alpha)
             k0 = max(a, 2 * q - n)
             leading_vanish += a < k0 <= b
             if k0 > b:
                 all_vanish += 1
-                assert got == 0, (n, alpha, q)
+                assert expected == 0, (n, alpha, q)
         assert leading_vanish >= 30
         assert all_vanish >= 30
 
@@ -278,13 +287,15 @@ class TestMissProbability:
         rel = abs(float(exact.epsilon) - logsp.epsilon) / float(exact.epsilon)
         assert rel <= 1e-10
 
-    def test_logspace_zero_denominator_raises(self, monkeypatch):
-        # On the validated domain ln C(n, q) and ln C(n, alpha) are finite;
-        # were the denominator -inf (exact zero), -inf - -inf would give a
-        # silent NaN, so the division must raise instead.
-        monkeypatch.setattr("coreprobe.persistence.ln_binomial", lambda m, r: -math.inf)
-        with pytest.raises(ZeroDivisionError):
-            miss_probability(3000, 10, 5, mode="logspace")
+    def test_log_epsilon_below_double_range(self):
+        # eps = e^-1469 underflows to 0.0; log_epsilon still carries it.
+        # The reference is the exact rational's log, from the helpers' sum.
+        n, alpha, q = 3000, 0, 1400
+        exact = helpers.miss_probability_reference(n, alpha, q)
+        expected = math.log(exact.numerator) - math.log(exact.denominator)
+        got = miss_probability(n, alpha, q, mode="logspace")
+        assert got.epsilon == 0.0 and expected < -1400
+        assert abs(got.log_epsilon - expected) <= 1e-10 * abs(expected)
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):

@@ -106,22 +106,20 @@ class TestMinCoreSize:
             assert got.epsilon <= target < got.epsilon_prev
 
     def test_logspace_anchor_has_exact_witnesses(self):
-        # The logspace answer 1855 at (n = 10^5, C = 80%, p = 99.9%) is
-        # minimal in exact rationals: eps(1854) > 1/1000 >= eps(1855).
-        n, alpha, target = 100_000, 80_000, Fraction(1, 1000)
-        assert min_core_size(n, alpha, target, mode="logspace").q == 1855
-        at = miss_probability(n, alpha, 1855, "exact").epsilon
-        before = miss_probability(n, alpha, 1854, "exact").epsilon
-        assert before > target >= at
-        # Exact against logspace in ln(eps) at n = 10^4 and 10^5: at the
-        # two anchors and at seeded points on the solver's boundary.
-        # Criterion 4's 1e-10 (checked there for n <= 500) holds at
-        # n = 10^4 but not at 10^5, where the gap is 2e-10 at the anchor:
-        # logspace error tracks the rounding unit of the cancelling
-        # log-gamma values, u ln(n!), which is 1.2e-10 at n = 10^5.  So
-        # the bound here is 1e-10 or 8 u ln(n!), whichever is larger.
+        # The logspace answers 1855 at (n = 10^5, C = 80%, p = 99.9%) and
+        # 5874 at n = 10^6 are minimal in exact rationals:
+        # eps(q-1) > 1/1000 >= eps(q).
+        target = Fraction(1, 1000)
+        for n, alpha, q in ((100_000, 80_000, 1855), (1_000_000, 800_000, 5874)):
+            assert min_core_size(n, alpha, target, mode="logspace").q == q
+            at = miss_probability(n, alpha, q, "exact").epsilon
+            before = miss_probability(n, alpha, q - 1, "exact").epsilon
+            assert before > target >= at, n
+        # Exact against logspace in ln(eps), within criterion 4's 1e-10, at
+        # n = 10^4, 10^5 and 10^6: at the anchors and at seeded points on
+        # the solver's boundary.
         rng = random.Random(20261018)
-        points = [(10_000, 8000, 584), (100_000, 80_000, 1855)]
+        points = [(10_000, 8000, 584), (100_000, 80_000, 1855), (1_000_000, 800_000, 5874)]
         for n, count in ((10_000, 6), (100_000, 3)):
             for _ in range(count):
                 alpha = rng.randrange(n)
@@ -131,8 +129,7 @@ class TestMinCoreSize:
             exact = miss_probability(n, alpha, q, "exact").epsilon
             log_exact = math.log(exact.numerator) - math.log(exact.denominator)
             log_space = miss_probability(n, alpha, q, "logspace").log_epsilon
-            bound = max(1e-10, 8 * 2**-53 * math.lgamma(n + 1))
-            assert abs(log_space - log_exact) <= bound, (n, alpha, q)
+            assert abs(log_space - log_exact) <= 1e-10, (n, alpha, q)
 
     def test_modes_agree(self):
         exact = min_core_size(800, 240, 1e-3, mode="exact")
