@@ -13,6 +13,7 @@ from .persistence import (
     conditional_miss,
     hypergeometric_pmf,
     ln_binomial,
+    log_sum_exp,
     miss_probability,
     replaced_count,
     support_bounds,
@@ -46,6 +47,7 @@ __version__ = "0.1.0"
 __all__ = [
     "binomial_exact",
     "ln_binomial",
+    "log_sum_exp",
     "EXACT_N_LIMIT",
     "MissProbability",
     "churn_ratio",

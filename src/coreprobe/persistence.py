@@ -22,11 +22,12 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Union
+from typing import Iterable, Literal, Union
 
 __all__ = [
     "binomial_exact",
     "ln_binomial",
+    "log_sum_exp",
     "EXACT_N_LIMIT",
     "MissProbability",
     "churn_ratio",
@@ -44,12 +45,14 @@ RatioLike = Union[int, float, Fraction]
 # this population size and to log-space floats above it.
 EXACT_N_LIMIT = 2000
 
-_TOP_BITS = 60
 # A logspace term above 2^600 is rescaled by 2^-600; one step multiplies
 # it by less than n^3, well inside the 2^423 of headroom left.
-_RESCALE_BITS = 600
-_RESCALE = 2.0**_RESCALE_BITS
-_LN2 = math.log(2.0)
+_RESCALE = 2.0**600
+_LN_RESCALE = math.log(_RESCALE)
+# ln_binomial reads the exact integer while min(r, m-r) is at most this;
+# above it, the two-term Stirling tail is off by under 3e-15, less than
+# half an ulp of any such ln C(m, r) (at least ln C(402, 201) > 275).
+_SERIES_MIN_K = 200
 
 
 def binomial_exact(m: int, r: int) -> int:
@@ -65,21 +68,55 @@ def binomial_exact(m: int, r: int) -> int:
     return math.comb(m, r)
 
 
-def _ln_ratio(x: int, y: int = 1) -> float:
-    """ln(x / y) for positive integers, from their top 60 bits.
-
-    The tops divide to a float in (1/2, 2) and the binary exponents
-    cancel as integers, so the error is a few ulps of the result itself.
-    """
-    top_x = (x << _TOP_BITS) >> x.bit_length()
-    top_y = (y << _TOP_BITS) >> y.bit_length()
-    return math.log(top_x / top_y) + (x.bit_length() - y.bit_length()) * _LN2
+def _stirling_tail(x: int) -> float:
+    """ln x! - (x ln x - x + ln(2 pi x) / 2), to within 3e-15 for x > 200."""
+    return (1 / 12 - 1 / (360 * x * x)) / x
 
 
 def ln_binomial(m: int, r: int) -> float:
-    """ln C(m, r) from the exact integer; -inf (exact zero) when r < 0 or r > m."""
-    value = binomial_exact(m, r)
-    return _ln_ratio(value) if value else -math.inf
+    """ln C(m, r); -inf (exact zero) when r < 0 or r > m.
+
+    With k = min(r, m-r) and j = m - k, it is the log of the exact
+    integer for k <= 200 and otherwise Stirling's form
+
+        k ln(m/k) + j ln(m/j) + ln(m / (2 pi k j)) / 2
+        + tail(m) - tail(k) - tail(j),
+
+    whose large parts are positive: nothing cancels, so the relative
+    error is a few ulps and the cost is O(1) for any m.
+    """
+    if m < 0:
+        raise ValueError(f"ln_binomial requires m >= 0, got m={m}")
+    if r < 0 or r > m:
+        return -math.inf
+    k = min(r, m - r)
+    if k <= _SERIES_MIN_K:
+        return math.log(math.comb(m, k))
+    j = m - k
+    return (
+        k * math.log(m / k)
+        - j * math.log1p(-k / m)
+        + 0.5 * math.log(m / (2 * math.pi * k * j))
+        + _stirling_tail(m)
+        - _stirling_tail(k)
+        - _stirling_tail(j)
+    )
+
+
+def log_sum_exp(logs: Iterable[float]) -> float:
+    """Logarithm of the sum of the magnitudes whose logs are given.
+
+    Max-shifted so no intermediate overflows, with the partial sums
+    accumulated by math.fsum so the result is independent of term
+    order.  An empty sequence (or all -inf terms) yields -inf.
+    """
+    finite = [x for x in logs if x != -math.inf]
+    if not finite:
+        return -math.inf
+    top = max(finite)
+    if top == math.inf:
+        raise OverflowError("log_sum_exp over an infinite magnitude")
+    return top + math.log(math.fsum(math.exp(x - top) for x in finite))
 
 
 def _check_int(name: str, value: object) -> int:
@@ -198,31 +235,6 @@ def _resolve_mode(n: int, mode: Mode) -> Literal["exact", "logspace"]:
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def _summand(n: int, alpha: int, q: int):
-    """(anchor, denominator, steps) of the sum in the module docstring.
-
-    anchor is the exact first term T(k0), 0 when every term vanishes;
-    denominator is C(n, q)^2; steps yields integer pairs (num, den) with
-    T(k+1) = T(k) * num / den, a division that is exact in integers.
-    """
-    a, b = support_bounds(n, q, alpha)
-    k0 = max(a, 2 * q - n)
-    denominator = math.comb(n, q) ** 2
-    if k0 > b:
-        return 0, denominator, ()
-    anchor = (
-        math.comb(n + k0 - q, q) * math.comb(alpha, k0) * math.comb(n - alpha, q - k0)
-    )
-    steps = (
-        (
-            (n + k + 1 - q) * (alpha - k) * (q - k),
-            (n + k + 1 - 2 * q) * (k + 1) * (n - alpha - q + k + 1),
-        )
-        for k in range(k0, b)
-    )
-    return anchor, denominator, steps
-
-
 def miss_probability(
     n: int, alpha: int, q: int, mode: Mode = "auto"
 ) -> MissProbability:
@@ -231,20 +243,33 @@ def miss_probability(
     ``alpha`` of the n nodes were replaced since the core of q nodes was
     installed.  The value is the full sum over the possible number k of
     replaced core members; no special case short-circuits it.  Exact
-    mode steps the terms in integers; logspace steps them in floats
-    relative to the exact anchor and adds back the anchor's log.
+    mode steps the terms in integers from the exact anchor; logspace
+    steps them in floats from 1.0 and adds ln(anchor / C(n, q)^2),
+    summed from ``ln_binomial`` values.
     """
     n, q, alpha = _check_urn(n, q, alpha)
     resolved = _resolve_mode(n, mode)
-    anchor, denominator, steps = _summand(n, alpha, q)
+    a, b = support_bounds(n, q, alpha)
+    k0 = max(a, 2 * q - n)
+    # The binomials of the first term T(k0) of the sum in the module
+    # docstring; their product is 0 exactly when k0 > b, i.e. when every
+    # term vanishes.  Then T(k+1) = T(k) * num / den, exact in integers.
+    anchor = ((n + k0 - q, q), (alpha, k0), (n - alpha, q - k0))
+    steps = (
+        (
+            (n + k + 1 - q) * (alpha - k) * (q - k),
+            (n + k + 1 - 2 * q) * (k + 1) * (n - alpha - q + k + 1),
+        )
+        for k in range(k0, b)
+    )
     if resolved == "exact":
-        term = total = anchor
+        term = total = math.prod(binomial_exact(m, r) for m, r in anchor)
         for num, den in steps:
             term = term * num // den
             total += term
-        return MissProbability(epsilon=Fraction(total, denominator), mode="exact")
-    if not anchor:
-        return MissProbability(epsilon=0.0, mode="logspace", log_epsilon=-math.inf)
+        return MissProbability(
+            epsilon=Fraction(total, binomial_exact(n, q) ** 2), mode="exact"
+        )
     term = total = 1.0
     rescales = 0
     for num, den in steps:
@@ -254,10 +279,10 @@ def miss_probability(
             term /= _RESCALE
             total /= _RESCALE
             rescales += 1
+    logs = [ln_binomial(m, r) for m, r in anchor]
+    logs += [-2 * ln_binomial(n, q), rescales * _LN_RESCALE, math.log(total)]
     # Float error can push ln(eps) a hair above 0; clamp.
-    log_eps = min(
-        math.log(total) + _ln_ratio(anchor << rescales * _RESCALE_BITS, denominator), 0.0
-    )
+    log_eps = min(math.fsum(logs), 0.0)
     return MissProbability(
         epsilon=math.exp(log_eps), mode="logspace", log_epsilon=log_eps
     )
