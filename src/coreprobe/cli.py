@@ -115,6 +115,26 @@ def _echo(message: str, err: bool = False) -> None:
     click.echo(message, file=sys.stderr if err else sys.stdout)
 
 
+def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
+    # Replaces click's own --help callback, which echoes to a stream
+    # click finds itself and so leaks it like any unnamed stream (_echo).
+    if value and not ctx.resilient_parsing:
+        _echo(ctx.get_help())
+        ctx.exit()
+
+
+class _Command(click.Command):
+    def get_help_option(self, ctx: click.Context) -> click.Option | None:
+        option = super().get_help_option(ctx)
+        if option is not None:
+            option.callback = _show_help
+        return option
+
+
+class _Group(_Command, click.Group):
+    command_class = _Command
+
+
 def _emit_json(record) -> None:
     _echo(json.dumps(record, sort_keys=True, indent=2, allow_nan=False))
 
@@ -188,7 +208,7 @@ def _split_tokens(text: str, name: str) -> list[str]:
     return tokens
 
 
-@click.group()
+@click.group(cls=_Group)
 def main() -> None:
     """Core persistence under churn: miss probabilities, sizing, simulation.
 

@@ -16,8 +16,10 @@ probe are simulated by which core slots they hit: ``_core_hits`` draws
 uniform k-subsets of range(n) exactly (selection sampling or Floyd's
 algorithm) but keeps only their intersection with the core.  Memory per
 block is O(block * q) plus a fixed budget of int32 draws per call,
-independent of n and of delta.  The draws themselves are simulated; no
-closed form is consulted.
+independent of n and of delta.  Floyd's algorithm keeps a drawn column
+for its membership test only while j < q, where a swapped-in j can be a
+core slot; later columns are dropped once marked.  The draws themselves
+are simulated; no closed form is consulted.
 
 Determinism contract: trials are partitioned into fixed-size blocks and
 block b draws from ``SeedSequence(entropy=seed, spawn_key=(b,))``; block
@@ -207,15 +209,17 @@ def _selection_hits(
 
     Slot i joins a unit's k-subset with probability need/(n - i), where
     ``need`` is the number of members that unit still lacks; drawing
-    ``integers(0, n - i) < need`` makes that exact.  m vectorised steps.
+    ``integers(0, n - i) < need`` makes that exact.  m vectorised steps,
+    each filling one contiguous row of an (m, size) mask; the (size, m)
+    transpose is returned.
     """
-    hits = np.zeros((size, m), dtype=bool)
+    hits = np.empty((m, size), dtype=bool)
     need = np.full((size, units), k, dtype=np.int32)
     for i in range(m):
         taken = rng.integers(0, n - i, size=(size, units), dtype=np.int32) < need
         need -= taken
-        hits[:, i] = taken.any(axis=1)
-    return hits
+        taken.any(axis=1, out=hits[i])
+    return hits.T
 
 
 def _floyd_hits(
@@ -224,20 +228,26 @@ def _floyd_hits(
     """Floyd's subset sampling: k vectorised steps.
 
     For j in n-k..n-1 each unit draws t in [0, j] and takes j instead
-    when t is already a member.  Each column is scattered into the
-    slot mask as soon as it is drawn, so only the int32 columns (needed
-    for the membership test) are kept.
+    when t is already a member.  That membership test only matters
+    while j < m: from j >= m on, a swapped-in j is never a core slot,
+    and a repeated core value marks a slot that is already marked.  So
+    the test runs, and the int32 column is kept for later tests, only
+    while j < m; since j ascends, those are exactly the columns later
+    tests compare against.  Core values are marked in a flat buffer
+    that is returned as the (size, m) mask.
     """
-    hits = np.zeros((size, m), dtype=bool)
+    hits = np.zeros(size * m, dtype=bool)
     columns: list[np.ndarray] = []
     for j in range(n - k, n):
         t = rng.integers(0, j + 1, size=(size, units), dtype=np.int32)
-        for earlier in columns:
-            t[t == earlier] = j
-        columns.append(t)
-        rows, cols = np.nonzero(t < m)
-        hits[rows, t[rows, cols]] = True
-    return hits
+        if j < m:
+            for earlier in columns:
+                t[t == earlier] = j
+            columns.append(t)
+        t = t.ravel()
+        core = np.flatnonzero(t < m)
+        hits[core // units * m + t[core]] = True
+    return hits.reshape(size, m)
 
 
 def _core_hits(
@@ -247,8 +257,9 @@ def _core_hits(
 
     Returns a bool array of shape (size, m); each row draws its own
     ``units`` independent k-subsets of range(n).  Selection sampling
-    costs m steps, Floyd's algorithm k steps with k(k-1)/2 membership
-    comparisons, so the cheaper of the two is taken.  Both are exact.
+    costs m steps, Floyd's algorithm k steps with up to k(k-1)/2
+    membership comparisons, so the cheaper of the two is taken.  Both
+    are exact.
     Units are drawn in chunks, so a call holds at most about
     ``_CALL_ELEMENTS`` int32 values however many units it is given.
     """

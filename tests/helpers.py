@@ -2,13 +2,17 @@
 
 Everything here is deliberately naive: exhaustive enumeration over
 subsets and first-principles product formulas, sharing no code with the
-package so disagreements point at real defects.
+package so disagreements point at real defects.  The two ``*_hits_reference``
+samplers are the simulator's earlier, plainer samplers, kept to pin the
+current ones to the same draws and masks.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+import numpy as np
 
 
 def pascal_rows(limit: int) -> list[list[int]]:
@@ -108,3 +112,40 @@ def avoidance_product(n: int, q: int, k: int) -> Fraction:
 def churn_ratio_exact(c: Fraction, delta: int) -> Fraction:
     """1 - (1-c)^delta in exact rational arithmetic."""
     return 1 - (1 - c) ** delta
+
+
+def selection_hits_reference(
+    rng: np.random.Generator, size: int, n: int, k: int, m: int, units: int
+) -> np.ndarray:
+    """Selection sampling over slots 0..m-1, filled column by column.
+
+    The simulator's earlier ``_selection_hits``, kept verbatim: the
+    current sampler must make the same draws and return the same mask.
+    """
+    hits = np.zeros((size, m), dtype=bool)
+    need = np.full((size, units), k, dtype=np.int32)
+    for i in range(m):
+        taken = rng.integers(0, n - i, size=(size, units), dtype=np.int32) < need
+        need -= taken
+        hits[:, i] = taken.any(axis=1)
+    return hits
+
+
+def floyd_hits_reference(
+    rng: np.random.Generator, size: int, n: int, k: int, m: int, units: int
+) -> np.ndarray:
+    """Floyd's sampler with the membership test at every step.
+
+    The simulator's earlier ``_floyd_hits``, kept verbatim: every column
+    is compared against every earlier one, k(k-1)/2 comparisons.
+    """
+    hits = np.zeros((size, m), dtype=bool)
+    columns: list[np.ndarray] = []
+    for j in range(n - k, n):
+        t = rng.integers(0, j + 1, size=(size, units), dtype=np.int32)
+        for earlier in columns:
+            t[t == earlier] = j
+        columns.append(t)
+        rows, cols = np.nonzero(t < m)
+        hits[rows, t[rows, cols]] = True
+    return hits

@@ -153,6 +153,17 @@ class TestInProcess:
         gc.collect()
         assert [ref() for ref in refs] == [None, None]
 
+    @pytest.mark.parametrize("args", [["--help"], ["simulate", "--help"]])
+    def test_help_stream_is_released(self, args):
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main.main(args, standalone_mode=False) == 0
+        assert "Usage:" in out.getvalue()
+        ref = weakref.ref(out)
+        del out
+        gc.collect()
+        assert ref() is None
+
 
 class TestSize:
     def test_prints_answer_with_witness_pair(self, runner):

@@ -34,6 +34,7 @@ from coreprobe.simulator import (
     _replacement_schedule,
     _selection_hits,
 )
+from helpers import floyd_hits_reference, selection_hits_reference
 
 
 def _urn(n, q, alpha, trials, seed=0):
@@ -237,6 +238,77 @@ class TestCoreHits:
         assert _within_4_sigma(count, trials, float(both))
 
 
+def _assert_same_masks(method, reference, cases, seed=0):
+    # Both sides start from one seed and are called in the same order,
+    # so a single diverging draw fails every later case.
+    got_rng, want_rng = _block_rng(seed, 0), _block_rng(seed, 0)
+    for size, n, k, m, units in cases:
+        got = method(got_rng, size, n, k, m, units)
+        want = reference(want_rng, size, n, k, m, units)
+        assert got.shape == want.shape == (size, m)
+        assert np.array_equal(got, want), (size, n, k, m, units)
+
+
+@pytest.mark.parametrize(
+    "method, reference",
+    [(_selection_hits, selection_hits_reference), (_floyd_hits, floyd_hits_reference)],
+)
+class TestSamplerEquivalence:
+    # The samplers must make exactly the draws their earlier versions
+    # made and return exactly the same masks, so every report stays
+    # byte-identical.
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_k_and_m_and_unit_count(self, method, reference, n):
+        cases = [
+            (8, n, k, m, units)
+            for k in range(n + 1)
+            for m in range(n + 1)
+            for units in range(1, 5)
+        ]
+        _assert_same_masks(method, reference, cases, seed=n)
+
+    @pytest.mark.parametrize("n", [17, 23, 30])
+    def test_every_k_and_m_at_larger_n(self, method, reference, n):
+        # Unit counts 1-4 take turns over the (k, m) grid.
+        cases = [
+            (8, n, k, m, 1 + (k + m) % 4)
+            for k in range(n + 1)
+            for m in range(n + 1)
+        ]
+        _assert_same_masks(method, reference, cases, seed=n)
+
+    def test_degenerate_sizes(self, method, reference):
+        cases = [
+            (50, 1, 0, 0, 1), (50, 1, 0, 1, 3), (50, 1, 1, 0, 2), (50, 1, 1, 1, 4),
+            (50, 40, 0, 7, 2), (50, 40, 9, 0, 3), (1, 40, 9, 7, 1),
+        ]
+        _assert_same_masks(method, reference, cases)
+
+    def test_membership_test_where_a_swap_can_land_in_the_core(self, method, reference):
+        # n - k < m: Floyd's first steps have j < m, so a swapped-in j
+        # can be a core slot and the membership test decides the mask.
+        cases = [
+            (4000, 10, 3, 9, 5),
+            (4000, 60, 8, 58, 2),
+            (2000, 200, 15, 190, 3),
+            (2000, 200, 40, 200, 1),
+            (500, 1000, 20, 999, 4),
+        ]
+        _assert_same_masks(method, reference, cases)
+
+
+def test_samplers_match_on_the_churn_benchmark_block():
+    # The two calls _core_hits makes for one block of the churn
+    # benchmark (n = 1000, q = 79, c = 0.003, 16384 trials): Floyd's
+    # sampler for a chunk of 85 batches of 3, selection for the probe.
+    _assert_same_masks(
+        _floyd_hits, floyd_hits_reference, [(16384, 1000, 3, 79, 85)], seed=701
+    )
+    _assert_same_masks(
+        _selection_hits, selection_hits_reference, [(16384, 1000, 79, 79, 1)], seed=701
+    )
+
+
 class TestDeterminism:
     def test_block_size_depends_only_on_n(self):
         assert _block_size(1) == 16384
@@ -327,6 +399,26 @@ class TestChurnProcess:
         report = run_churn_trials(_churn(20, 5, 0.3, 0, 5000))
         assert report.survivor_mean == 5.0
         assert report.misses == run_churn_trials(_churn(20, 5, 0.0, 9, 5000)).misses
+
+    # Frozen miss counts and survivor sums guard the replacement
+    # samplers: a change in any draw would shift them.
+    def test_frozen_counts_where_the_core_is_out_of_swap_reach(self):
+        # n - ceil(c*n) >= q: Floyd's membership test never runs.
+        report = run_churn_trials(_churn(1000, 79, 0.003, 100, 32768))
+        assert report.misses == 256
+        assert report.survivor_mean == 1_917_746 / 32768
+
+    def test_frozen_counts_where_swaps_land_in_the_core(self):
+        # n - ceil(c*n) = 7 < q = 9: the membership test decides hits.
+        report = run_churn_trials(_churn(10, 9, 0.3, 5, 200_000))
+        assert report.misses == 32_048
+        assert report.survivor_mean == 302_647 / 200_000
+
+    def test_frozen_counts_fractional(self):
+        # c*n = 2.5: batches of 2 and 3 alternate.
+        report = run_churn_trials(_churn(200, 20, 0.0125, 40, 50_000, fractional=True))
+        assert report.misses == 13_821
+        assert report.survivor_mean == 605_222 / 50_000
 
     def test_replacement_schedule_constant_ceiling(self):
         cfg = _churn(5, 1, 0.1, 4, 1)
