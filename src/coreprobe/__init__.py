@@ -19,15 +19,12 @@ from .persistence import (
     support_bounds,
 )
 from .simulator import (
-    THREADS_ENV_VAR,
     AnalyticComparison,
     TrialConfig,
     TrialReport,
     compare_with_analytic,
     draw_subsets,
-    run_churn_trials,
     run_trials,
-    run_urn_trials,
     wilson_interval,
 )
 from .solvers import (
@@ -68,12 +65,9 @@ __all__ = [
     "TrialConfig",
     "TrialReport",
     "AnalyticComparison",
-    "run_urn_trials",
-    "run_churn_trials",
     "run_trials",
     "compare_with_analytic",
     "draw_subsets",
     "wilson_interval",
-    "THREADS_ENV_VAR",
     "__version__",
 ]

@@ -37,11 +37,7 @@ from .persistence import (
     miss_probability,
     replaced_count,
 )
-from .simulator import (
-    THREADS_ENV_VAR,
-    TrialConfig,
-    compare_with_analytic,
-)
+from .simulator import TrialConfig, compare_with_analytic
 from .solvers import (
     InfeasibleError,
     delta_for_churn,
@@ -542,8 +538,6 @@ def sweep(variable, start, stop, step, values, n, q_fixed, alpha, cap_c, c_rate,
 
 
 @main.command()
-@click.option("--model", type=click.Choice(["urn", "churn_process"]), default=None,
-              help="Trial model; inferred from the churn form when omitted.")
 @click.option("--n", type=int, required=True, help="System size (node count).")
 @click.option("--q", type=int, required=True, help="Core size; probes use the same count.")
 @click.option("--alpha", type=int, default=None, help="Replaced-node count (urn model).")
@@ -554,14 +548,13 @@ def sweep(variable, start, stop, step, values, n, q_fixed, alpha, cap_c, c_rate,
 @click.option("--delta", type=int, default=None, help="Time units to simulate (churn_process model).")
 @click.option("--trials", type=int, default=100_000, show_default=True, help="Trial count.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Root RNG seed.")
-@click.option("--threads", type=int, default=None,
-              help=f"Worker threads; defaults to ${THREADS_ENV_VAR} or 1.")
+@click.option("--threads", type=int, default=1, show_default=True, help="Worker threads.")
 @click.option("--fractional-churn", is_flag=True,
               help="Replace c*n nodes per unit on average instead of ceil(c*n).")
 @click.option("--check", is_flag=True, help="Exit 4 when |z| > 3 against the analytic value.")
 @click.option("--json", "as_json", is_flag=True, help="Emit a canonical JSON record.")
 @_domain_guard
-def simulate(model, n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
+def simulate(n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
              fractional_churn, check, as_json):
     """Monte Carlo estimate of the miss probability, with analytic z-score.
 
@@ -572,15 +565,13 @@ def simulate(model, n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
     exact); --C also accepts 'static'.  alpha = ceil(C*n).
     """
     alpha, _, rate = _resolve_churn(n, alpha, cap_c, c_rate, delta)
-    inferred = "urn" if rate is None else "churn_process"
-    if model is not None and model != inferred:
-        raise click.UsageError(f"--model {model} conflicts with the given churn form")
+    model = "urn" if rate is None else "churn_process"
     form = {"alpha": alpha} if rate is None else {"c": rate, "delta": delta}
     config = TrialConfig(
         n=n,
         q=q,
         trials=trials,
-        model=inferred,
+        model=model,
         seed=seed,
         fractional_churn=fractional_churn,
         **form,
@@ -589,7 +580,7 @@ def simulate(model, n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
     report = cmp.report
     if as_json:
         record = {
-            "model": inferred,
+            "model": model,
             "n": n,
             "q": q,
             "alpha": cmp.alpha,
@@ -607,7 +598,7 @@ def simulate(model, n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
         }
         _emit_json(record)
     else:
-        _echo(f"model = {inferred}  trials = {report.trials}  seed = {seed}")
+        _echo(f"model = {model}  trials = {report.trials}  seed = {seed}")
         _echo(f"misses = {report.misses}")
         _echo(f"epsilon_hat = {report.epsilon_hat:.6g}")
         _echo(f"ci99 = [{report.ci_low:.6g}, {report.ci_high:.6g}]")

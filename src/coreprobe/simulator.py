@@ -31,7 +31,6 @@ how many worker threads run the blocks.
 from __future__ import annotations
 
 import math
-import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -51,18 +50,13 @@ __all__ = [
     "TrialConfig",
     "TrialReport",
     "AnalyticComparison",
-    "run_urn_trials",
-    "run_churn_trials",
     "compare_with_analytic",
     "run_trials",
     "draw_subsets",
     "wilson_interval",
-    "THREADS_ENV_VAR",
 ]
 
 Model = Literal["urn", "churn_process"]
-
-THREADS_ENV_VAR = "COREPROBE_THREADS"
 
 # Two-sided 99% standard normal quantile, for the Wilson interval.
 _Z99 = 2.5758293035489004
@@ -316,14 +310,6 @@ def draw_subsets(n: int, k: int, count: int, seed: int = 0) -> np.ndarray:
     return out
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get(THREADS_ENV_VAR, "1"))
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
-    return threads
-
-
 def _replacement_schedule(config: TrialConfig) -> list[int]:
     """Nodes replaced at each time unit.
 
@@ -374,89 +360,47 @@ def _block_outcome(
     return misses, int(survivors.sum()), int((survivors**2).sum())
 
 
-def _blocks(config: TrialConfig) -> list[tuple[int, int]]:
-    block = _block_size(config.n)
-    return [
-        (b, min(block, config.trials - start))
-        for b, start in enumerate(range(0, config.trials, block))
-    ]
+def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
+    """Run ``config.trials`` trials of ``config.model``.
 
-
-def _map_blocks(fn, blocks, threads):
-    if threads == 1:
-        return [fn(b, size) for b, size in blocks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(lambda bs: fn(*bs), blocks))
-
-
-def _simulate(config: TrialConfig, threads: int | None) -> tuple[int, int, int]:
-    """Block outcomes of ``config`` summed over all blocks."""
-    threads = _resolve_threads(threads)
+    Blocks run on ``threads`` worker threads and their integer outcomes
+    are summed.  Survivor statistics are filled for the churn process
+    only.
+    """
+    if threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
     units = _replacement_units(config)
-    results = _map_blocks(
-        lambda b, size: _block_outcome(config, units, b, size),
-        _blocks(config),
-        threads,
-    )
-    return tuple(sum(column) for column in zip(*results))
-
-
-def run_urn_trials(config: TrialConfig, threads: int | None = None) -> TrialReport:
-    """Run the one-shot replacement experiment ``config.trials`` times."""
-    if config.model != "urn":
-        raise ValueError(f"run_urn_trials requires model='urn', got {config.model!r}")
-    misses, _, _ = _simulate(config, threads)
-    low, high = wilson_interval(misses, config.trials)
-    return TrialReport(
-        trials=config.trials,
-        misses=misses,
-        epsilon_hat=misses / config.trials,
-        ci_low=low,
-        ci_high=high,
-    )
-
-
-def run_churn_trials(config: TrialConfig, threads: int | None = None) -> TrialReport:
-    """Run the per-time-unit replacement process ``config.trials`` times."""
-    if config.model != "churn_process":
-        raise ValueError(
-            f"run_churn_trials requires model='churn_process', got {config.model!r}"
-        )
-    misses, surv_sum, surv_sumsq = _simulate(config, threads)
+    block = _block_size(config.n)
     t = config.trials
-    mean = surv_sum / t
-    if t > 1:
-        var = max(0.0, (surv_sumsq - t * mean * mean) / (t - 1))
+    blocks = [(b, min(block, t - start)) for b, start in enumerate(range(0, t, block))]
+
+    def outcome(b_size):
+        return _block_outcome(config, units, *b_size)
+
+    if threads == 1:
+        results = map(outcome, blocks)
     else:
-        var = 0.0
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(outcome, blocks))
+    misses, surv_sum, surv_sumsq = (sum(column) for column in zip(*results))
     low, high = wilson_interval(misses, t)
+    survivors = {}
+    if config.model == "churn_process":
+        mean = surv_sum / t
+        var = max(0.0, (surv_sumsq - t * mean * mean) / (t - 1)) if t > 1 else 0.0
+        survivors = dict(survivor_mean=mean, survivor_stddev=math.sqrt(var))
     return TrialReport(
         trials=t,
         misses=misses,
         epsilon_hat=misses / t,
         ci_low=low,
         ci_high=high,
-        survivor_mean=mean,
-        survivor_stddev=math.sqrt(var),
+        **survivors,
     )
 
 
-def run_trials(config: TrialConfig, threads: int | None = None) -> TrialReport:
-    """Dispatch to the runner matching ``config.model``."""
-    if config.model == "urn":
-        return run_urn_trials(config, threads)
-    return run_churn_trials(config, threads)
-
-
-def analytic_alpha(config: TrialConfig) -> int:
-    """Replacement count the analytic comparison uses for this config."""
-    if config.model == "urn":
-        return config.alpha
-    return replaced_count(config.n, churn_ratio(config.c, config.delta))
-
-
 def compare_with_analytic(
-    config: TrialConfig, threads: int | None = None
+    config: TrialConfig, threads: int = 1
 ) -> AnalyticComparison:
     """Run the configured simulation and z-test it against the closed form.
 
@@ -467,7 +411,10 @@ def compare_with_analytic(
     asserted.
     """
     report = run_trials(config, threads)
-    alpha = analytic_alpha(config)
+    if config.model == "urn":
+        alpha = config.alpha
+    else:
+        alpha = replaced_count(config.n, churn_ratio(config.c, config.delta))
     eps = float(miss_probability(config.n, alpha, config.q).epsilon)
     se = math.sqrt(eps * (1.0 - eps) / config.trials)
     diff = report.epsilon_hat - eps

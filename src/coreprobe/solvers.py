@@ -150,12 +150,14 @@ def min_core_size(
 def delta_for_churn(c: RatioLike, ratio_max: RatioLike) -> LifetimeResult:
     """Largest whole number of time units keeping the churn ratio within budget.
 
-    Starts from floor(log(1-ratio_max) / log(1-c)) and re-evaluates the
-    boundary in both directions, so a float error in the log quotient
-    cannot flip the answer.  The feasibility test runs on the survivor
-    fraction, (1-c)^delta >= (1-budget)*(1 - _RATIO_SLACK): unlike the
-    replaced ratio, the survivor side never saturates at 1.0, so the
-    walk terminates even for budgets within a few ulps of 1.
+    Starts from floor(log(1-ratio_max) / log(1-c)), gallops outward in
+    doubling steps until the boundary is bracketed, then bisects, so a
+    float error in the log quotient cannot flip the answer and the cost
+    is logarithmic even where delta exceeds 2^53 (tiny c) and unit steps
+    no longer change the float product.  The feasibility test runs on
+    the survivor fraction, (1-c)^delta >= (1-budget)*(1 - _RATIO_SLACK):
+    unlike the replaced ratio, the survivor side never saturates at 1.0,
+    so the search ends even for budgets within a few ulps of 1.
     """
     if not 0 < c < 1:
         raise ValueError(f"c must lie in (0, 1), got {c}")
@@ -169,15 +171,27 @@ def delta_for_churn(c: RatioLike, ratio_max: RatioLike) -> LifetimeResult:
     def feasible(d: int) -> bool:
         return math.exp(d * log_keep) >= survivors_min
 
-    delta = max(math.floor(math.log1p(-budget) / log_keep), 0)
-    while feasible(delta + 1):
-        delta += 1
-    while delta > 0 and not feasible(delta):
-        delta -= 1
+    guess = max(math.floor(math.log1p(-budget) / log_keep), 0)
+    # Bracket with feasible(lo) and not feasible(hi); feasible(0) holds.
+    step = 1
+    if feasible(guess):
+        lo, hi = guess, guess + 1
+        while feasible(hi):
+            lo, step = hi, 2 * step
+            hi = lo + step
+    else:
+        lo, hi = guess - 1, guess
+        while not feasible(lo):
+            hi, step = lo, 2 * step
+            lo = max(hi - step, 0)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if feasible(mid):
+            lo = mid
+        else:
+            hi = mid
     return LifetimeResult(
-        delta=delta,
-        ratio=churn_ratio(c, delta),
-        ratio_next=churn_ratio(c, delta + 1),
+        delta=lo, ratio=churn_ratio(c, lo), ratio_next=churn_ratio(c, hi)
     )
 
 

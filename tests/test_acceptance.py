@@ -26,8 +26,7 @@ from coreprobe import (
     min_core_size,
     miss_probability,
     replaced_count,
-    run_churn_trials,
-    run_urn_trials,
+    run_trials,
     support_bounds,
 )
 from coreprobe.cli import main, parse_ratio
@@ -241,7 +240,7 @@ def test_criterion_07_monte_carlo_urn():
         n=1000, q=79, trials=10**6, model="urn", alpha=300, seed=0
     )
     started = time.perf_counter()
-    report = run_urn_trials(config, threads=2)
+    report = run_trials(config, threads=2)
     elapsed = time.perf_counter() - started
     analytic = float(miss_probability(1000, 300, 79).epsilon)
     covered = report.ci_low <= analytic <= report.ci_high
@@ -264,7 +263,7 @@ def test_criterion_08_survivor_decay():
         n=1000, q=1000, trials=trials, model="churn_process",
         c=1e-2, delta=50, seed=0,
     )
-    report = run_churn_trials(config)
+    report = run_trials(config)
     observed = report.survivor_mean / 1000
     expected = (1 - 10 / 1000) ** 50
     se = (report.survivor_stddev / 1000) / math.sqrt(trials)

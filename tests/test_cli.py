@@ -549,10 +549,6 @@ class TestSimulate:
             "--c", "1%", "--delta", "3",
         ).exit_code == 2
         assert invoke(
-            runner, "simulate", "--n", "10", "--q", "2", "--model",
-            "churn_process", "--alpha", "1",
-        ).exit_code == 2
-        assert invoke(
             runner, "simulate", "--n", "10", "--q", "2", "--alpha", "1",
             "--C", "10%",
         ).exit_code == 2

@@ -15,16 +15,13 @@ from hypothesis import strategies as st
 
 import coreprobe
 from coreprobe import (
-    THREADS_ENV_VAR,
     TrialConfig,
     compare_with_analytic,
     draw_subsets,
     miss_probability,
     replaced_count,
     churn_ratio,
-    run_churn_trials,
     run_trials,
-    run_urn_trials,
     wilson_interval,
 )
 from coreprobe.simulator import (
@@ -98,12 +95,6 @@ class TestTrialConfig:
         # c = 0 and delta = 0 are both legal degenerate churn processes.
         TrialConfig(n=10, q=2, trials=1, model="churn_process", c=0.0, delta=5)
         TrialConfig(n=10, q=2, trials=1, model="churn_process", c=0.5, delta=0)
-
-    def test_runner_rejects_mismatched_model(self):
-        with pytest.raises(ValueError):
-            run_urn_trials(_churn(10, 2, 0.1, 3, 5))
-        with pytest.raises(ValueError):
-            run_churn_trials(_urn(10, 2, 1, 5))
 
 
 class TestWilsonInterval:
@@ -325,27 +316,22 @@ class TestDeterminism:
         assert run_trials(ucfg, threads=1) == run_trials(ucfg, threads=4)
 
     def test_seed_changes_the_outcome(self):
-        base = run_urn_trials(_urn(30, 5, 10, 20_000, seed=0))
-        same = run_urn_trials(_urn(30, 5, 10, 20_000, seed=0))
-        other = run_urn_trials(_urn(30, 5, 10, 20_000, seed=1))
+        base = run_trials(_urn(30, 5, 10, 20_000, seed=0))
+        same = run_trials(_urn(30, 5, 10, 20_000, seed=0))
+        other = run_trials(_urn(30, 5, 10, 20_000, seed=1))
         assert base == same
         assert base.misses != other.misses
 
-    def test_thread_env_var_is_honoured(self, monkeypatch):
-        cfg = _urn(30, 5, 10, 20_000, seed=0)
-        want = run_trials(cfg, threads=2)
-        monkeypatch.setenv(THREADS_ENV_VAR, "2")
-        assert run_trials(cfg) == want
-        monkeypatch.setenv(THREADS_ENV_VAR, "0")
+    def test_rejects_zero_threads(self):
         with pytest.raises(ValueError):
-            run_trials(cfg)
+            run_trials(_urn(30, 5, 10, 100), threads=0)
 
 
 class TestUrnModel:
     # Frozen miss counts double as regression guards for the RNG scheme:
     # a change in block layout or sampling order would shift them.
     def test_matches_exact_probability_6_2_3(self):
-        report = run_urn_trials(_urn(6, 2, 3, 10**6))
+        report = run_trials(_urn(6, 2, 3, 10**6))
         assert report.misses == 680_460
         assert report.epsilon_hat == report.misses / 10**6
         exact = miss_probability(6, 3, 2).epsilon
@@ -353,24 +339,24 @@ class TestUrnModel:
         assert report.ci_low <= float(exact) <= report.ci_high
 
     def test_matches_exact_probability_static(self):
-        report = run_urn_trials(_urn(5, 1, 0, 200_000))
+        report = run_trials(_urn(5, 1, 0, 200_000))
         assert report.misses == 160_080
         assert report.ci_low <= 0.8 <= report.ci_high
 
     def test_matches_exact_probability_10_4_5(self):
-        report = run_urn_trials(_urn(10, 4, 5, 200_000))
+        report = run_trials(_urn(10, 4, 5, 200_000))
         exact = float(miss_probability(10, 5, 4).epsilon)
         assert report.misses == 73_056
         assert report.ci_low <= exact <= report.ci_high
 
     def test_certain_miss_and_certain_hit(self):
-        all_replaced = run_urn_trials(_urn(12, 3, 12, 5000))
+        all_replaced = run_trials(_urn(12, 3, 12, 5000))
         assert all_replaced.misses == 5000
-        probe_everything = run_urn_trials(_urn(12, 12, 3, 5000))
+        probe_everything = run_trials(_urn(12, 12, 3, 5000))
         assert probe_everything.misses == 0
 
     def test_no_survivor_statistics(self):
-        report = run_urn_trials(_urn(6, 2, 3, 1000))
+        report = run_trials(_urn(6, 2, 3, 1000))
         assert report.survivor_mean is None
         assert report.survivor_stddev is None
 
@@ -383,40 +369,40 @@ class TestChurnProcess:
         # units is n(1 - 1/n)^delta; the observed mean must sit within
         # 3 standard errors.
         trials = 2000
-        report = run_churn_trials(_churn(1000, 1000, 1e-3, 105, trials))
+        report = run_trials(_churn(1000, 1000, 1e-3, 105, trials))
         expected = 1000 * (1 - 1 / 1000) ** 105
         se = report.survivor_stddev / math.sqrt(trials)
         assert abs(report.survivor_mean - expected) <= 3 * se
 
     def test_zero_rate_is_static(self):
-        report = run_churn_trials(_churn(20, 5, 0.0, 7, 5000))
+        report = run_trials(_churn(20, 5, 0.0, 7, 5000))
         assert report.survivor_mean == 5.0
         assert report.survivor_stddev == 0.0
         exact = float(miss_probability(20, 0, 5).epsilon)
         assert report.ci_low <= exact <= report.ci_high
 
     def test_zero_delta_is_static(self):
-        report = run_churn_trials(_churn(20, 5, 0.3, 0, 5000))
+        report = run_trials(_churn(20, 5, 0.3, 0, 5000))
         assert report.survivor_mean == 5.0
-        assert report.misses == run_churn_trials(_churn(20, 5, 0.0, 9, 5000)).misses
+        assert report.misses == run_trials(_churn(20, 5, 0.0, 9, 5000)).misses
 
     # Frozen miss counts and survivor sums guard the replacement
     # samplers: a change in any draw would shift them.
     def test_frozen_counts_where_the_core_is_out_of_swap_reach(self):
         # n - ceil(c*n) >= q: Floyd's membership test never runs.
-        report = run_churn_trials(_churn(1000, 79, 0.003, 100, 32768))
+        report = run_trials(_churn(1000, 79, 0.003, 100, 32768))
         assert report.misses == 256
         assert report.survivor_mean == 1_917_746 / 32768
 
     def test_frozen_counts_where_swaps_land_in_the_core(self):
         # n - ceil(c*n) = 7 < q = 9: the membership test decides hits.
-        report = run_churn_trials(_churn(10, 9, 0.3, 5, 200_000))
+        report = run_trials(_churn(10, 9, 0.3, 5, 200_000))
         assert report.misses == 32_048
         assert report.survivor_mean == 302_647 / 200_000
 
     def test_frozen_counts_fractional(self):
         # c*n = 2.5: batches of 2 and 3 alternate.
-        report = run_churn_trials(_churn(200, 20, 0.0125, 40, 50_000, fractional=True))
+        report = run_trials(_churn(200, 20, 0.0125, 40, 50_000, fractional=True))
         assert report.misses == 13_821
         assert report.survivor_mean == 605_222 / 50_000
 
@@ -431,8 +417,8 @@ class TestChurnProcess:
     def test_fractional_replaces_half_as_many_here(self):
         # c*n = 0.5: the ceiling schedule replaces one node per unit,
         # the fractional one every other unit, so fewer misses.
-        ceil_report = run_churn_trials(_churn(100, 5, 0.005, 10, 20_000))
-        frac_report = run_churn_trials(
+        ceil_report = run_trials(_churn(100, 5, 0.005, 10, 20_000))
+        frac_report = run_trials(
             _churn(100, 5, 0.005, 10, 20_000, fractional=True)
         )
         assert frac_report.misses < ceil_report.misses
@@ -444,6 +430,17 @@ class TestCompareWithAnalytic:
         assert cmp.alpha == 3
         assert cmp.epsilon_analytic == 0.68
         assert abs(cmp.z_score) < 3
+        assert not cmp.flagged
+
+    @pytest.mark.parametrize(
+        "n, q, alpha",
+        [(100, 10, 30), (500, 40, 150), (1000, 79, 300), (1000, 105, 600)],
+    )
+    def test_urn_battery_agrees_with_closed_form(self, n, q, alpha):
+        # z reads +0.05, +0.47, +2.01 and +0.67 at seed 0.
+        cmp = compare_with_analytic(_urn(n, q, alpha, 10**5))
+        assert cmp.alpha == alpha
+        assert cmp.epsilon_analytic == float(miss_probability(n, alpha, q).epsilon)
         assert not cmp.flagged
 
     def test_churn_alpha_comes_from_cumulative_ratio(self):

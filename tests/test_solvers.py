@@ -2,6 +2,7 @@
 
 import math
 import random
+import signal
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,7 @@ from coreprobe import (
     miss_probability,
     replaced_count,
 )
+from coreprobe.solvers import _RATIO_SLACK
 
 from conftest import GRID_N
 
@@ -247,6 +249,28 @@ class TestDeltaForChurn:
                     margin = abs(math.exp(d * math.log1p(-c)) - survivors)
                     assert margin / survivors > 1e-6  # grid sanity
                 assert delta_for_churn(c, budget).delta == want
+
+    @pytest.mark.parametrize("c", [1e-17, 1e-300])
+    @pytest.mark.parametrize("budget", [0.1, 0.3, 0.99])
+    def test_tiny_rate_terminates(self, c, budget):
+        # delta exceeds 2^53 here, where delta + 1 no longer changes
+        # the float delta * log1p(-c); a unit-step walk never ends.
+        def expire(signum, frame):
+            raise TimeoutError("delta_for_churn took over a second")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            got = delta_for_churn(c, budget)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert got.delta > 2**53
+        assert got.ratio == churn_ratio(c, got.delta)
+        assert got.ratio_next == churn_ratio(c, got.delta + 1)
+        # The slack applies to the survivor fraction 1 - budget.
+        assert got.ratio <= budget + 2 * _RATIO_SLACK * (1 - budget)
+        assert budget < got.ratio_next
 
     @given(
         c=st.floats(min_value=1e-6, max_value=0.9),
