@@ -324,8 +324,8 @@ def lifetime(c, budget, n, q, epsilon, p, horizon, mode, as_json):
     Ratios accept '30%' or '0.3' (kept exact).  alpha = ceil(C*n).
     """
     if budget is not None:
-        if n is not None or q is not None or epsilon is not None or p is not None:
-            raise click.UsageError("--C excludes the --n/--q/--epsilon form")
+        if any(v is not None for v in (n, q, epsilon, p, horizon)):
+            raise click.UsageError("--C excludes the --n/--q/--epsilon/--horizon form")
         result = delta_for_churn(c, budget)
         if as_json:
             _emit_json(

@@ -310,35 +310,28 @@ def draw_subsets(n: int, k: int, count: int, seed: int = 0) -> np.ndarray:
     return out
 
 
-def _replacement_schedule(config: TrialConfig) -> list[int]:
-    """Nodes replaced at each time unit.
+def _replacement_units(config: TrialConfig) -> list[tuple[int, int]]:
+    """(nodes replaced in one batch, number of such batches), ascending.
 
-    Default: the constant ceil(c*n).  Fractional mode: carry the
-    non-integer remainder so units replace c*n on average.
+    The urn model is a single batch of alpha.  The churn process has one
+    batch per time unit, grouped by size since batches are independent:
+    by default the constant ceil(c*n); in fractional mode the carry of
+    the non-integer remainder makes units replace c*n on average.
     """
+    if config.model == "urn":
+        return [(config.alpha, 1)]
     n, c, delta = config.n, config.c, config.delta
     if not config.fractional_churn:
-        return [math.ceil(c * n)] * delta
-    schedule = []
+        return [(math.ceil(c * n), delta)] if delta else []
+    counts: Counter[int] = Counter()
     carry = 0.0
     rate = float(c) * n
     for _ in range(delta):
         x = carry + rate
         r = math.floor(x)
         carry = x - r
-        schedule.append(r)
-    return schedule
-
-
-def _replacement_units(config: TrialConfig) -> list[tuple[int, int]]:
-    """(nodes replaced in one batch, number of such batches), ascending.
-
-    The urn model is a single batch of alpha; the churn process has one
-    batch per time unit, grouped by size since batches are independent.
-    """
-    if config.model == "urn":
-        return [(config.alpha, 1)]
-    return sorted(Counter(_replacement_schedule(config)).items())
+        counts[r] += 1
+    return sorted(counts.items())
 
 
 def _block_outcome(

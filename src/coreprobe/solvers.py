@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Callable, Union
 
 from .persistence import (
     Mode,
@@ -82,6 +82,42 @@ class MaxDeltaResult:
     capped: bool                      # answer hit the search horizon
 
 
+def _ln(x: Probability) -> float:
+    """Natural log of a target; a Fraction such as 10^-400 would round
+    to 0.0 as a float, so its log comes from numerator and denominator."""
+    if isinstance(x, Fraction):
+        return math.log(x.numerator) - math.log(x.denominator)
+    return math.log(x)
+
+
+def _first_true(pred: Callable[[int], bool], guess: int, lo: int, hi: float) -> int:
+    """Smallest x in (lo, hi] where the monotone ``pred`` turns true.
+
+    ``pred(lo)`` is known false and ``pred(hi)`` known true (``hi`` may
+    be ``math.inf``); neither is evaluated.  Gallops from ``guess`` in
+    (lo, hi] in doubling steps until the boundary is bracketed, then
+    bisects.  No point is evaluated twice.
+    """
+    step = 1
+    if guess < hi and not pred(guess):
+        lo = guess
+        while lo + step < hi and not pred(lo + step):
+            lo, step = lo + step, 2 * step
+        hi = min(lo + step, hi)
+    else:
+        hi = guess
+        while hi - step > lo and pred(hi - step):
+            hi, step = hi - step, 2 * step
+        lo = max(hi - step, lo)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def min_core_size(
     n: int,
     alpha: int,
@@ -90,15 +126,13 @@ def min_core_size(
 ) -> CoreSizeResult:
     """Smallest q whose miss probability does not exceed epsilon_max.
 
-    Exploits that the miss probability is non-increasing in q, from
-    eps(0) = 1 down to eps(n) = 0 (alpha < n) or 1 (alpha = n).  The
-    search starts at the paper's asymptote eps ~ exp(-q^2 (1-C) / n),
-    i.e. q0 = n sqrt(ln(1/epsilon_max) / (n - alpha)) clamped to [1, n],
-    gallops outward from q0 in doubling steps until the boundary is
-    bracketed, then bisects.  Every eps(q) is evaluated at most once,
-    so the witness pair comes from the search itself.  Raises
-    InfeasibleError when alpha = n: every initial node was replaced, so
-    no probe can find a core member.
+    The miss probability is non-increasing in q, from eps(0) = 1 down to
+    eps(n) = 0 (alpha < n), so ``_first_true`` searches (0, n] without
+    evaluating either end.  It starts at the paper's asymptote
+    eps ~ exp(-q^2 (1-C) / n), i.e. q0 = n sqrt(ln(1/epsilon_max) / (n - alpha))
+    clamped to [1, n].  Each eps(q) is evaluated at most once.
+    Raises InfeasibleError when alpha = n: every initial node was
+    replaced, so no probe can find a core member.
     """
     if not 0 < epsilon_max < 1:
         raise ValueError(f"epsilon_max must lie in (0, 1), got {epsilon_max}")
@@ -116,48 +150,22 @@ def min_core_size(
             memo[q] = miss_probability(n, alpha, q, mode).epsilon
         return memo[q]
 
-    # Logs of numerator and denominator: a Fraction target such as
-    # 10^-400 would round to 0.0 as a float.
-    log_target = (
-        math.log(epsilon_max.numerator) - math.log(epsilon_max.denominator)
-        if isinstance(epsilon_max, Fraction)
-        else math.log(epsilon_max)
-    )
-    seed = min(max(round(n * math.sqrt(-log_target / (n - alpha))), 1), n)
-    # Bracket with eps(lo) > epsilon_max >= eps(hi), taking eps(0) = 1 and
-    # eps(n) = 0 as known without evaluating them (so seed < n below).
-    step = 1
-    if eps(seed) <= epsilon_max:
-        lo, hi = seed - 1, seed
-        while lo > 0 and eps(lo) <= epsilon_max:
-            hi, step = lo, 2 * step
-            lo = max(hi - step, 0)
-    else:
-        lo, hi = seed, seed + 1
-        while hi < n and eps(hi) > epsilon_max:
-            lo, step = hi, 2 * step
-            hi = min(lo + step, n)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eps(mid) <= epsilon_max:
-            hi = mid
-        else:
-            lo = mid
-    # hi >= 1 is minimal: q = 0 gives eps = 1, which no target < 1 meets.
-    return CoreSizeResult(q=hi, epsilon=eps(hi), epsilon_prev=eps(hi - 1))
+    seed = min(max(round(n * math.sqrt(-_ln(epsilon_max) / (n - alpha))), 1), n)
+    q = _first_true(lambda q: eps(q) <= epsilon_max, seed, 0, n)
+    return CoreSizeResult(q=q, epsilon=eps(q), epsilon_prev=eps(q - 1))
 
 
 def delta_for_churn(c: RatioLike, ratio_max: RatioLike) -> LifetimeResult:
     """Largest whole number of time units keeping the churn ratio within budget.
 
-    Starts from floor(log(1-ratio_max) / log(1-c)), gallops outward in
-    doubling steps until the boundary is bracketed, then bisects, so a
-    float error in the log quotient cannot flip the answer and the cost
-    is logarithmic even where delta exceeds 2^53 (tiny c) and unit steps
-    no longer change the float product.  The feasibility test runs on
-    the survivor fraction, (1-c)^delta >= (1-budget)*(1 - _RATIO_SLACK):
-    unlike the replaced ratio, the survivor side never saturates at 1.0,
-    so the search ends even for budgets within a few ulps of 1.
+    ``_first_true`` finds the first delta over budget, starting from
+    floor(log(1-ratio_max) / log(1-c)), so a float error in the log
+    quotient cannot flip the answer and the cost is logarithmic even
+    where delta exceeds 2^53 (tiny c) and unit steps no longer change
+    the float product.  The test runs on the survivor fraction,
+    (1-c)^delta < (1-budget)*(1 - _RATIO_SLACK): unlike the replaced
+    ratio, the survivor side never saturates at 1.0, so the search ends
+    even for budgets within a few ulps of 1.
     """
     if not 0 < c < 1:
         raise ValueError(f"c must lie in (0, 1), got {c}")
@@ -167,31 +175,14 @@ def delta_for_churn(c: RatioLike, ratio_max: RatioLike) -> LifetimeResult:
     budget = float(ratio_max)
     log_keep = math.log1p(-c)
     survivors_min = (1.0 - budget) * (1.0 - _RATIO_SLACK)
-
-    def feasible(d: int) -> bool:
-        return math.exp(d * log_keep) >= survivors_min
-
-    guess = max(math.floor(math.log1p(-budget) / log_keep), 0)
-    # Bracket with feasible(lo) and not feasible(hi); feasible(0) holds.
-    step = 1
-    if feasible(guess):
-        lo, hi = guess, guess + 1
-        while feasible(hi):
-            lo, step = hi, 2 * step
-            hi = lo + step
-    else:
-        lo, hi = guess - 1, guess
-        while not feasible(lo):
-            hi, step = lo, 2 * step
-            lo = max(hi - step, 0)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
+    guess = max(math.floor(math.log1p(-budget) / log_keep), 1)
+    over = _first_true(
+        lambda d: math.exp(d * log_keep) < survivors_min, guess, 0, math.inf
+    )
     return LifetimeResult(
-        delta=lo, ratio=churn_ratio(c, lo), ratio_next=churn_ratio(c, hi)
+        delta=over - 1,
+        ratio=churn_ratio(c, over - 1),
+        ratio_next=churn_ratio(c, over),
     )
 
 
@@ -229,11 +220,15 @@ def max_delta(
 ) -> MaxDeltaResult:
     """Largest probe period whose derived miss probability meets the target.
 
-    The churn ratio grows with delta, hence so does the replacement
-    count and the miss probability, giving a monotone predicate to
-    search.  Raises InfeasibleError when the static case (delta = 0,
-    nothing replaced) already violates the target; returns a capped
-    result when every delta up to ``horizon`` is still feasible.
+    The churn ratio grows with delta, hence so does the replaced count
+    alpha and the miss probability, so the search runs in alpha: one
+    ``_first_true`` finds the largest alpha_max meeting the target,
+    seeded where the mean survivor count q (n - alpha) / n puts a
+    with-replacement probe at epsilon_max, and a second one finds the
+    largest delta whose replaced count stays within alpha_max, with
+    float-only steps.  Raises InfeasibleError when the static case
+    (delta = 0, nothing replaced) already violates the target; returns a
+    capped result when every delta up to ``horizon`` is still feasible.
     """
     if not 0 < epsilon_max < 1:
         raise ValueError(f"epsilon_max must lie in (0, 1), got {epsilon_max}")
@@ -247,33 +242,39 @@ def max_delta(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    # Many deltas share one replaced count, so memoize per alpha.
     memo: dict[int, Probability] = {}
 
-    def eps(delta: int) -> Probability:
-        alpha = replaced_count(n, churn_ratio(c, delta))
+    def eps(alpha: int) -> Probability:
         if alpha not in memo:
             memo[alpha] = miss_probability(n, alpha, q, mode).epsilon
         return memo[alpha]
 
-    if eps(0) > epsilon_max:
+    def replaced(delta: int) -> int:
+        return replaced_count(n, churn_ratio(c, delta))
+
+    if eps(replaced(0)) > epsilon_max:
         raise InfeasibleError(
             f"even a static system (delta=0) exceeds epsilon={epsilon_max} "
             f"at n={n}, q={q}"
         )
-    if eps(horizon) <= epsilon_max:
+    # eps(n) = 1 misses every target, so it bounds the search unevaluated.
+    alpha_top = replaced(horizon)
+    if alpha_top < n and eps(alpha_top) <= epsilon_max:
         return MaxDeltaResult(
-            delta=horizon, epsilon=eps(horizon), epsilon_next=None, capped=True
+            delta=horizon, epsilon=eps(alpha_top), epsilon_next=None, capped=True
         )
-    lo, hi = 0, 1  # eps(lo) <= epsilon_max; grow hi until it violates
-    while eps(hi) <= epsilon_max:
-        lo, hi = hi, min(2 * hi, horizon)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if eps(mid) <= epsilon_max:
-            lo = mid
-        else:
-            hi = mid
+    # Seed alpha where the mean survivor count s = q (n - alpha) / n
+    # gives (1 - s/n)^q = epsilon_max, and delta where the churn ratio
+    # reaches alpha_max / n.
+    seed = round(n + n * n * math.expm1(_ln(epsilon_max) / q) / q)
+    guess = min(max(seed, 1), alpha_top)
+    alpha_max = _first_true(lambda a: eps(a) > epsilon_max, guess, 0, alpha_top) - 1
+    seed = math.log1p(-alpha_max / n) / math.log1p(-float(c))
+    guess = int(min(seed + 1, horizon))
+    over = _first_true(lambda d: replaced(d) > alpha_max, guess, 0, horizon)
     return MaxDeltaResult(
-        delta=lo, epsilon=eps(lo), epsilon_next=eps(lo + 1), capped=False
+        delta=over - 1,
+        epsilon=eps(replaced(over - 1)),
+        epsilon_next=eps(replaced(over)),
+        capped=False,
     )

@@ -4,11 +4,13 @@ Everything here is deliberately naive: exhaustive enumeration over
 subsets and first-principles product formulas, sharing no code with the
 package so disagreements point at real defects.  The two ``*_hits_reference``
 samplers are the simulator's earlier, plainer samplers, kept to pin the
-current ones to the same draws and masks.
+current ones to the same draws and masks; ``replacement_schedule_reference``
+is its earlier per-unit schedule, kept to pin the grouped batch sizes.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -149,3 +151,25 @@ def floyd_hits_reference(
         rows, cols = np.nonzero(t < m)
         hits[rows, t[rows, cols]] = True
     return hits
+
+
+def replacement_schedule_reference(
+    n: int, c, delta: int, fractional: bool
+) -> list[int]:
+    """Nodes replaced at each time unit, one list entry per unit.
+
+    The simulator's earlier ``_replacement_schedule``, kept verbatim:
+    the constant ceil(c*n), or in fractional mode a float carry of the
+    non-integer remainder.
+    """
+    if not fractional:
+        return [math.ceil(c * n)] * delta
+    schedule = []
+    carry = 0.0
+    rate = float(c) * n
+    for _ in range(delta):
+        x = carry + rate
+        r = math.floor(x)
+        carry = x - r
+        schedule.append(r)
+    return schedule

@@ -239,6 +239,11 @@ class TestLifetime:
             runner, "lifetime", "--c", "1%", "--C", "10%", "--n", "100"
         ).exit_code == 2
         assert invoke(runner, "lifetime", "--c", "1%").exit_code == 2
+        result = invoke(
+            runner, "lifetime", "--c", "0.1%", "--C", "30%", "--horizon", "100"
+        )
+        assert result.exit_code == 2  # --horizon caps the miss-target form only
+        assert "--horizon" in result.output
         assert invoke(
             runner, "lifetime", "--c", "1%", "--n", "100", "--q", "5"
         ).exit_code == 2  # missing target

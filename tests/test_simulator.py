@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,10 +30,14 @@ from coreprobe.simulator import (
     _block_rng,
     _block_size,
     _floyd_hits,
-    _replacement_schedule,
+    _replacement_units,
     _selection_hits,
 )
-from helpers import floyd_hits_reference, selection_hits_reference
+from helpers import (
+    floyd_hits_reference,
+    replacement_schedule_reference,
+    selection_hits_reference,
+)
 
 
 def _urn(n, q, alpha, trials, seed=0):
@@ -406,13 +412,45 @@ class TestChurnProcess:
         assert report.misses == 13_821
         assert report.survivor_mean == 605_222 / 50_000
 
-    def test_replacement_schedule_constant_ceiling(self):
+    def test_replacement_units_constant_ceiling(self):
         cfg = _churn(5, 1, 0.1, 4, 1)
-        assert _replacement_schedule(cfg) == [1, 1, 1, 1]
+        assert _replacement_units(cfg) == [(1, 4)]
 
-    def test_replacement_schedule_fractional_carry(self):
+    def test_replacement_units_fractional_carry(self):
         cfg = _churn(5, 1, 0.1, 4, 1, fractional=True)
-        assert _replacement_schedule(cfg) == [0, 1, 0, 1]
+        assert _replacement_units(cfg) == [(0, 2), (1, 2)]
+
+    @pytest.mark.parametrize("fractional", [False, True])
+    @pytest.mark.parametrize(
+        "n,c,delta",
+        [
+            (5, 0.1, 4),
+            (200, 0.0125, 40),
+            (100, 0.005, 10),
+            (1000, 0.003, 100),
+            (7, 1 / 3, 30),
+            (997, Fraction(1, 7), 25),
+            (50, 0.0, 12),
+            (50, 0.2, 0),
+        ],
+    )
+    def test_replacement_units_group_the_per_unit_schedule(
+        self, n, c, delta, fractional
+    ):
+        cfg = _churn(n, 1, c, delta, 1, fractional=fractional)
+        schedule = replacement_schedule_reference(n, c, delta, fractional)
+        assert _replacement_units(cfg) == sorted(Counter(schedule).items())
+
+    def test_constant_units_memory_does_not_grow_with_delta(self):
+        cfg = _churn(1000, 79, 1e-6, 10**8, 1)
+        tracemalloc.start()
+        try:
+            units = _replacement_units(cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert units == [(1, 10**8)]
+        assert peak < 2**20
 
     def test_fractional_replaces_half_as_many_here(self):
         # c*n = 0.5: the ceiling schedule replaces one node per unit,

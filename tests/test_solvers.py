@@ -22,7 +22,7 @@ from coreprobe import (
     miss_probability,
     replaced_count,
 )
-from coreprobe.solvers import _RATIO_SLACK
+from coreprobe.solvers import _RATIO_SLACK, _first_true
 
 from conftest import GRID_N
 
@@ -42,6 +42,35 @@ class TestTuningTarget:
             min_core_size(100, 10, bad)
         with pytest.raises(ValueError):
             max_delta(1000, 79, 1e-3, bad)
+
+
+class TestFirstTrue:
+    # Every bracket and guess up to 40, and an unbounded hi: the search
+    # returns the boundary, evaluates no point twice and never lo or hi.
+    @staticmethod
+    def _check(lo, hi, answer, guess):
+        seen = []
+
+        def pred(x):
+            seen.append(x)
+            return x >= answer
+
+        assert _first_true(pred, guess, lo, hi) == answer, (lo, hi, answer, guess)
+        assert len(seen) == len(set(seen)), (lo, hi, answer, guess)
+        assert all(lo < x < hi for x in seen), (lo, hi, answer, guess)
+
+    def test_every_small_bracket_and_guess(self):
+        for hi in range(1, 41):
+            for lo in range(hi):
+                for answer in range(lo + 1, hi + 1):
+                    for guess in range(lo + 1, hi + 1):
+                        self._check(lo, hi, answer, guess)
+
+    def test_unbounded_hi(self):
+        for lo in range(40):
+            for answer in range(lo + 1, 41):
+                for guess in range(lo + 1, 41):
+                    self._check(lo, math.inf, answer, guess)
 
 
 class TestMinCoreSize:
@@ -187,6 +216,18 @@ class TestSolverEvaluations:
                     calls.clear()
                     min_core_size(n, alpha, target)
                     assert len(calls) == len(set(calls)), (n, alpha, target)
+
+    @pytest.mark.parametrize(
+        "args,budget",
+        [
+            ((1000, 79, 1e-3, Fraction(1, 100)), 12),
+            ((10_000, 274, 1e-3, Fraction(1, 1000)), 16),
+            ((50, 50, 0.01, Fraction(1, 2)), 4),
+        ],
+    )
+    def test_max_delta_anchor_budget(self, calls, args, budget):
+        max_delta(*args)
+        assert len(calls) <= budget
 
     @pytest.mark.parametrize(
         "args,kwargs",
@@ -380,6 +421,34 @@ class TestRoundTrips:
 
 
 class TestMaxDelta:
+    # max_delta must agree with a linear scan over delta using the exact
+    # rational miss probability, for every n <= 30 and every q.
+    @pytest.mark.parametrize("horizon", [5, 10**7])
+    @pytest.mark.parametrize("c", [Fraction(1, 20), Fraction(1, 5), Fraction(1, 3)])
+    def test_matches_linear_scan_oracle(self, exact_grid, c, horizon):
+        for n in range(1, 31):
+            # Replaced counts at delta = 0, 1, ... up to the horizon or
+            # total turnover, where eps = 1 misses every target.
+            alphas = [0]
+            while alphas[-1] < n and len(alphas) <= horizon:
+                alphas.append(replaced_count(n, churn_ratio(c, len(alphas))))
+            for q in range(1, n + 1):
+                eps = [exact_grid[n, alpha, q] for alpha in alphas]
+                for target in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)):
+                    args = (n, q, c, target, "exact", horizon)
+                    if eps[0] > target:
+                        with pytest.raises(InfeasibleError):
+                            max_delta(*args)
+                        continue
+                    over = next((d for d, e in enumerate(eps) if e > target), None)
+                    if over is None:
+                        want = MaxDeltaResult(horizon, eps[horizon], None, True)
+                    else:
+                        want = MaxDeltaResult(
+                            over - 1, eps[over - 1], eps[over], False
+                        )
+                    assert max_delta(*args) == want, args
+
     def test_thousand_node_core_of_79(self):
         got = max_delta(1000, 79, 1e-3, Fraction(1, 100))
         assert got.delta == 360
