@@ -312,7 +312,7 @@ def size(n, epsilon, p, alpha, cap_c, c_rate, delta, mode, as_json):
 @click.option("--epsilon", type=RATIO, default=None, help="Largest acceptable miss probability.")
 @click.option("--p", type=RATIO, default=None, help="Smallest acceptable hit probability.")
 @click.option("--horizon", type=int, default=None, help="Search cap for the miss-target form.")
-@click.option("--mode", type=_MODE, default="auto", show_default=True, help="Numeric path.")
+@click.option("--mode", type=_MODE, default=None, help="Numeric path.  [default: auto]")
 @click.option("--json", "as_json", is_flag=True, help="Emit a canonical JSON record.")
 @_domain_guard
 def lifetime(c, budget, n, q, epsilon, p, horizon, mode, as_json):
@@ -324,8 +324,10 @@ def lifetime(c, budget, n, q, epsilon, p, horizon, mode, as_json):
     Ratios accept '30%' or '0.3' (kept exact).  alpha = ceil(C*n).
     """
     if budget is not None:
-        if any(v is not None for v in (n, q, epsilon, p, horizon)):
-            raise click.UsageError("--C excludes the --n/--q/--epsilon/--horizon form")
+        if any(v is not None for v in (n, q, epsilon, p, horizon, mode)):
+            raise click.UsageError(
+                "--C excludes the --n/--q/--epsilon/--horizon/--mode form"
+            )
         result = delta_for_churn(c, budget)
         if as_json:
             _emit_json(
@@ -346,7 +348,7 @@ def lifetime(c, budget, n, q, epsilon, p, horizon, mode, as_json):
         raise click.UsageError("give --C, or --n and --q with a target")
     target = _resolve_target(epsilon, p)
     kwargs = {} if horizon is None else {"horizon": horizon}
-    result = max_delta(n, q, c, target, mode=mode, **kwargs)
+    result = max_delta(n, q, c, target, mode=mode or "auto", **kwargs)
     if as_json:
         _emit_json(
             {

@@ -11,11 +11,20 @@ Two models:
   fresh ones; after delta units the probe is drawn.  This mode also
   tracks how many core members survived each trial.
 
-Only the q core slots decide a trial, so each replacement batch and the
-probe are simulated by which core slots they hit: ``_core_hits`` draws
-uniform k-subsets of range(n) exactly (selection sampling or Floyd's
-algorithm) but keeps only their intersection with the core.  Memory per
-block is O(block * q) plus a fixed budget of int32 draws per call,
+Only the q core slots decide a trial, and only through S, the number
+of them no batch has replaced.  Batches that repeat (the churn
+schedule's groups) are drawn per slot: ``_core_hits`` draws uniform
+k-subsets of range(n) exactly (selection sampling or Floyd's algorithm)
+but keeps only their intersection with the core, and S is the count of
+unmarked slots.  Every other batch, and the probe, is drawn per count:
+a batch of r replaces ``hypergeometric(S, n - S, r)`` survivors, and
+the probe finds ``hypergeometric(S, n - S, q)``; it misses when that is
+0.  This is exact because the replaced set is invariant under
+permutations of the core slots, so given S the survivors are a uniform
+S-subset, and batches are independent, so their order does not matter.
+numpy's hypergeometric sampler bounds the population, hence n < 10^9.
+Memory per block is O(block) for the urn model and O(block * q) for
+the churn process, plus a fixed budget of int32 draws per call,
 independent of n and of delta.  Floyd's algorithm keeps a drawn column
 for its membership test only while j < q, where a swapped-in j can be a
 core slot; later columns are dropped once marked.  The draws themselves
@@ -97,8 +106,11 @@ class TrialConfig:
         n = _check_int("n", self.n)
         q = _check_int("q", self.q)
         trials = _check_int("trials", self.trials)
-        if n < 1 or n >= 2**31:
-            raise ValueError(f"n must lie in [1, 2^31), got {n}")
+        if not 1 <= n < 10**9:
+            raise ValueError(
+                f"n must lie in [1, 10^9), numpy's bound on hypergeometric "
+                f"populations, got {n}"
+            )
         if not 0 <= q <= n:
             raise ValueError(f"q must lie in [0, n={n}], got {q}")
         if trials < 1:
@@ -251,16 +263,17 @@ def _core_hits(
 
     Returns a bool array of shape (size, m); each row draws its own
     ``units`` independent k-subsets of range(n).  Selection sampling
-    costs m steps, Floyd's algorithm k steps with up to k(k-1)/2
-    membership comparisons, so the cheaper of the two is taken.  Both
-    are exact.
+    costs m steps; Floyd's algorithm costs k steps plus c(c-1)/2
+    membership comparisons, where c is the number of its columns with
+    j < m.  The cheaper of the two is taken; both are exact.
     Units are drawn in chunks, so a call holds at most about
     ``_CALL_ELEMENTS`` int32 values however many units it is given.
     """
-    if k * (k - 1) // 2 >= m:
-        sample, per_unit = _selection_hits, size
-    else:
+    swaps = max(0, min(k, m - (n - k)))
+    if k + swaps * (swaps - 1) // 2 <= m:
         sample, per_unit = _floyd_hits, size * max(k, 1)
+    else:
+        sample, per_unit = _selection_hits, size
     chunk = max(1, _CALL_ELEMENTS // per_unit)
     hits = sample(rng, size, n, k, m, min(units, chunk))
     for start in range(chunk, units, chunk):
@@ -339,17 +352,25 @@ def _block_outcome(
 ) -> tuple[int, int, int]:
     """Misses, survivor sum and survivor sum of squares over one block.
 
-    Only the q core slots matter: a trial misses when none of its probed
-    core slots was left unreplaced by every batch.
+    A trial carries S, its count of core slots no batch has replaced.
+    Repeated batch groups are marked slot by slot first; each single
+    batch then replaces a hypergeometric number of the S survivors, and
+    the trial misses when its probe hits none of them.
     """
     rng = _block_rng(config.seed, block)
     n, q = config.n, config.q
-    replaced = np.zeros((size, q), dtype=bool)
+    survivors = np.full(size, q, dtype=np.int64)
+    groups = [(r, count) for r, count in units if count > 1]
+    if groups:
+        replaced = np.zeros((size, q), dtype=bool)
+        for r, count in groups:
+            replaced |= _core_hits(rng, size, n, r, q, units=count)
+        survivors -= np.count_nonzero(replaced, axis=1)
     for r, count in units:
-        replaced |= _core_hits(rng, size, n, r, q, units=count)
-    probed = _core_hits(rng, size, n, q, q)
-    misses = size - int((probed & ~replaced).any(axis=1).sum())
-    survivors = q - replaced.sum(axis=1)
+        if count == 1:
+            survivors -= rng.hypergeometric(survivors, n - survivors, r)
+    found = rng.hypergeometric(survivors, n - survivors, q)
+    misses = int(np.count_nonzero(found == 0))
     return misses, int(survivors.sum()), int((survivors**2).sum())
 
 

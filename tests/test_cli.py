@@ -244,6 +244,11 @@ class TestLifetime:
         )
         assert result.exit_code == 2  # --horizon caps the miss-target form only
         assert "--horizon" in result.output
+        result = invoke(
+            runner, "lifetime", "--c", "0.1%", "--C", "30%", "--mode", "exact"
+        )
+        assert result.exit_code == 2  # so does --mode
+        assert "--mode" in result.output
         assert invoke(
             runner, "lifetime", "--c", "1%", "--n", "100", "--q", "5"
         ).exit_code == 2  # missing target
@@ -558,6 +563,14 @@ class TestSimulate:
             "--C", "10%",
         ).exit_code == 2
         assert invoke(runner, "simulate", "--n", "10", "--q", "2").exit_code == 2
+
+    def test_population_beyond_the_hypergeometric_bound_exits_2(self, runner):
+        result = invoke(
+            runner, "simulate", "--n", str(10**9), "--q", "2", "--alpha", "1",
+            "--trials", "10",
+        )
+        assert result.exit_code == 2
+        assert "10^9" in result.output
 
     def test_fractional_churn_accepted_for_churn_model_only(self, runner):
         ok = invoke(

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coreprobe
+import coreprobe.simulator as simulator
 from coreprobe import (
     TrialConfig,
     compare_with_analytic,
@@ -29,6 +30,7 @@ from coreprobe import (
 from coreprobe.simulator import (
     _block_rng,
     _block_size,
+    _core_hits,
     _floyd_hits,
     _replacement_units,
     _selection_hits,
@@ -81,6 +83,7 @@ class TestTrialConfig:
         [
             dict(n=0, q=0, trials=1, model="urn", alpha=0),
             dict(n=2**31, q=1, trials=1, model="urn", alpha=0),
+            dict(n=10**9, q=1, trials=1, model="urn", alpha=0),
             dict(n=10, q=11, trials=1, model="urn", alpha=0),
             dict(n=10, q=-1, trials=1, model="urn", alpha=0),
             dict(n=10, q=2, trials=0, model="urn", alpha=0),
@@ -306,6 +309,29 @@ def test_samplers_match_on_the_churn_benchmark_block():
     )
 
 
+@pytest.mark.parametrize(
+    "n, k, m, sampler",
+    [
+        # Floyd: k steps plus c(c-1)/2 comparisons, c = columns with j < m.
+        (1000, 20, 79, "_floyd_hits"),  # 20 steps against selection's 79
+        (1000, 79, 79, "_floyd_hits"),  # 79 against 79
+        (1000, 300, 79, "_selection_hits"),
+        (90, 20, 79, "_floyd_hits"),  # n - k < m: c = 9, 20 + 36 <= 79
+        (100, 40, 79, "_selection_hits"),  # n - k < m: c = 19, 40 + 171 > 79
+    ],
+)
+def test_core_hits_takes_the_cheaper_sampler(monkeypatch, n, k, m, sampler):
+    calls = []
+    for name in ("_floyd_hits", "_selection_hits"):
+        def record(*args, _name=name, _sample=getattr(simulator, name)):
+            calls.append(_name)
+            return _sample(*args)
+
+        monkeypatch.setattr(simulator, name, record)
+    _core_hits(_block_rng(0, 0), 8, n, k, m, units=3)
+    assert calls == [sampler]
+
+
 class TestDeterminism:
     def test_block_size_depends_only_on_n(self):
         assert _block_size(1) == 16384
@@ -338,7 +364,7 @@ class TestUrnModel:
     # a change in block layout or sampling order would shift them.
     def test_matches_exact_probability_6_2_3(self):
         report = run_trials(_urn(6, 2, 3, 10**6))
-        assert report.misses == 680_460
+        assert report.misses == 679_856
         assert report.epsilon_hat == report.misses / 10**6
         exact = miss_probability(6, 3, 2).epsilon
         assert exact == Fraction(17, 25)
@@ -346,13 +372,13 @@ class TestUrnModel:
 
     def test_matches_exact_probability_static(self):
         report = run_trials(_urn(5, 1, 0, 200_000))
-        assert report.misses == 160_080
+        assert report.misses == 159_760
         assert report.ci_low <= 0.8 <= report.ci_high
 
     def test_matches_exact_probability_10_4_5(self):
         report = run_trials(_urn(10, 4, 5, 200_000))
         exact = float(miss_probability(10, 5, 4).epsilon)
-        assert report.misses == 73_056
+        assert report.misses == 73_461
         assert report.ci_low <= exact <= report.ci_high
 
     def test_certain_miss_and_certain_hit(self):
@@ -397,20 +423,32 @@ class TestChurnProcess:
     def test_frozen_counts_where_the_core_is_out_of_swap_reach(self):
         # n - ceil(c*n) >= q: Floyd's membership test never runs.
         report = run_trials(_churn(1000, 79, 0.003, 100, 32768))
-        assert report.misses == 256
+        assert report.misses == 244
         assert report.survivor_mean == 1_917_746 / 32768
 
     def test_frozen_counts_where_swaps_land_in_the_core(self):
         # n - ceil(c*n) = 7 < q = 9: the membership test decides hits.
         report = run_trials(_churn(10, 9, 0.3, 5, 200_000))
-        assert report.misses == 32_048
+        assert report.misses == 31_983
         assert report.survivor_mean == 302_647 / 200_000
 
     def test_frozen_counts_fractional(self):
         # c*n = 2.5: batches of 2 and 3 alternate.
         report = run_trials(_churn(200, 20, 0.0125, 40, 50_000, fractional=True))
-        assert report.misses == 13_821
+        assert report.misses == 13_797
         assert report.survivor_mean == 605_222 / 50_000
+
+    def test_single_batch_in_a_fractional_schedule(self):
+        # c*n = 2.5 over 3 units: batches of 2, 3, 2.  The lone batch of
+        # 3 is drawn as a survivor count, the pair of 2s slot by slot;
+        # the survivor mean must sit within 4 standard errors of
+        # q * prod_t (1 - r_t/n).
+        cfg = _churn(20, 10, 0.125, 3, 100_000, fractional=True)
+        assert _replacement_units(cfg) == [(2, 2), (3, 1)]
+        report = run_trials(cfg)
+        expected = 10 * (1 - 2 / 20) ** 2 * (1 - 3 / 20)
+        se = report.survivor_stddev / math.sqrt(cfg.trials)
+        assert abs(report.survivor_mean - expected) <= 4 * se
 
     def test_replacement_units_constant_ceiling(self):
         cfg = _churn(5, 1, 0.1, 4, 1)
@@ -475,7 +513,7 @@ class TestCompareWithAnalytic:
         [(100, 10, 30), (500, 40, 150), (1000, 79, 300), (1000, 105, 600)],
     )
     def test_urn_battery_agrees_with_closed_form(self, n, q, alpha):
-        # z reads +0.05, +0.47, +2.01 and +0.67 at seed 0.
+        # z reads -0.54, -0.90, -0.92 and -0.99 at seed 0.
         cmp = compare_with_analytic(_urn(n, q, alpha, 10**5))
         assert cmp.alpha == alpha
         assert cmp.epsilon_analytic == float(miss_probability(n, alpha, q).epsilon)
@@ -485,6 +523,13 @@ class TestCompareWithAnalytic:
         cfg = _churn(100, 10, 0.02, 9, 100)
         cmp = compare_with_analytic(cfg)
         assert cmp.alpha == replaced_count(100, churn_ratio(0.02, 9))
+
+    def test_single_churn_unit_agrees_with_closed_form(self):
+        # delta = 1 is one batch of ceil(c*n): the urn experiment, so the
+        # closed form is exact for it.
+        cmp = compare_with_analytic(_churn(1000, 79, 0.3, 1, 10**5))
+        assert cmp.alpha == 300
+        assert not cmp.flagged
 
     def test_zero_variance_edges_score_zero(self):
         # Analytic epsilon 0 (probe everything) or 1 (replace everything)
@@ -533,6 +578,22 @@ class TestBoundedMemory:
             base = dict(n=10**8, q=50, trials=128)
             run_trials(TrialConfig(model="urn", alpha=10**7, **base))
             run_trials(TrialConfig(model="churn_process", c=1e-6, delta=5, **base))
+            """
+        )
+        assert child.returncode == 0, child.stderr
+
+    def test_largest_population_runs_in_a_2_gib_address_space(self):
+        # n = 10^9 - 1 is the largest n numpy's hypergeometric sampler
+        # takes.  The urn run draws its batch and probe as survivor
+        # counts; the churn run marks a repeated group slot by slot.
+        child = _run_capped(
+            """
+            base = dict(n=10**9 - 1, q=50, trials=64)
+            for form in (
+                dict(model="urn", alpha=10**8),
+                dict(model="churn_process", c=1e-6, delta=5),
+            ):
+                assert run_trials(TrialConfig(**form, **base)).trials == 64
             """
         )
         assert child.returncode == 0, child.stderr
