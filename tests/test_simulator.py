@@ -2,6 +2,7 @@
 
 import math
 import os
+import statistics
 import subprocess
 import sys
 import textwrap
@@ -16,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coreprobe
-import coreprobe.simulator as simulator
 from coreprobe import (
     TrialConfig,
     compare_with_analytic,
@@ -30,7 +30,6 @@ from coreprobe import (
 from coreprobe.simulator import (
     _block_rng,
     _block_size,
-    _core_hits,
     _floyd_hits,
     _replacement_units,
     _selection_hits,
@@ -309,29 +308,6 @@ def test_samplers_match_on_the_churn_benchmark_block():
     )
 
 
-@pytest.mark.parametrize(
-    "n, k, m, sampler",
-    [
-        # Floyd: k steps plus c(c-1)/2 comparisons, c = columns with j < m.
-        (1000, 20, 79, "_floyd_hits"),  # 20 steps against selection's 79
-        (1000, 79, 79, "_floyd_hits"),  # 79 against 79
-        (1000, 300, 79, "_selection_hits"),
-        (90, 20, 79, "_floyd_hits"),  # n - k < m: c = 9, 20 + 36 <= 79
-        (100, 40, 79, "_selection_hits"),  # n - k < m: c = 19, 40 + 171 > 79
-    ],
-)
-def test_core_hits_takes_the_cheaper_sampler(monkeypatch, n, k, m, sampler):
-    calls = []
-    for name in ("_floyd_hits", "_selection_hits"):
-        def record(*args, _name=name, _sample=getattr(simulator, name)):
-            calls.append(_name)
-            return _sample(*args)
-
-        monkeypatch.setattr(simulator, name, record)
-    _core_hits(_block_rng(0, 0), 8, n, k, m, units=3)
-    assert calls == [sampler]
-
-
 class TestDeterminism:
     def test_block_size_depends_only_on_n(self):
         assert _block_size(1) == 16384
@@ -449,6 +425,28 @@ class TestChurnProcess:
         expected = 10 * (1 - 2 / 20) ** 2 * (1 - 3 / 20)
         se = report.survivor_stddev / math.sqrt(cfg.trials)
         assert abs(report.survivor_mean - expected) <= 4 * se
+
+    @pytest.mark.parametrize(
+        "q, c, r",
+        [(9 * 10**8, 0.1, 10**8), (10**9 - 1, 1e-9, 1)],
+    )
+    def test_survivor_statistics_are_exact_at_the_largest_population(
+        self, q, c, r
+    ):
+        # delta = 1 at n = 10^9 - 1: 64 survivor counts near 10^9, whose
+        # squares sum past 2^63.  The report must give the exact mean and
+        # sample standard deviation of the block's draws, replayed here.
+        n = 10**9 - 1
+        cfg = _churn(n, q, c, 1, 64)
+        assert _replacement_units(cfg) == [(r, 1)]
+        start = np.full(64, q, dtype=np.int64)
+        hits = _block_rng(cfg.seed, 0).hypergeometric(start, n - start, r)
+        drawn = (start - hits).tolist()
+        report = run_trials(cfg)
+        assert report.survivor_mean == sum(drawn) / 64
+        assert report.survivor_stddev == pytest.approx(
+            statistics.stdev(drawn), rel=1e-12, abs=0.0
+        )
 
     def test_replacement_units_constant_ceiling(self):
         cfg = _churn(5, 1, 0.1, 4, 1)
