@@ -12,23 +12,21 @@ Two models:
   tracks how many core members survived each trial.
 
 Only the q core slots decide a trial, and only through S, the number
-of them no batch has replaced.  Batches that repeat (the churn
-schedule's groups) are drawn per slot: ``_core_hits`` draws uniform
-k-subsets of range(n) exactly (selection sampling or Floyd's algorithm)
-but keeps only their intersection with the core, and S is the count of
-unmarked slots.  Every other batch, and the probe, is drawn per count:
-a batch of r replaces ``hypergeometric(S, n - S, r)`` survivors, and
-the probe finds ``hypergeometric(S, n - S, q)``; it misses when that is
-0.  This is exact because the replaced set is invariant under
-permutations of the core slots, so given S the survivors are a uniform
-S-subset, and batches are independent, so their order does not matter.
-numpy's hypergeometric sampler bounds the population, hence n < 10^9.
-Memory per block is O(block) for the urn model and O(block * q) for
-the churn process, plus a fixed budget of int32 draws per call,
-independent of n and of delta.  Floyd's algorithm keeps a drawn column
-for its membership test only while j < q, where a swapped-in j can be a
-core slot; later columns are dropped once marked.  The draws themselves
-are simulated; no closed form is consulted.
+of them no batch has replaced.  A batch of r replaces
+``hypergeometric(S, n - S, r)`` survivors and the probe finds
+``hypergeometric(S, n - S, q)``; the trial misses when that is 0.  This
+is exact because the replaced set is invariant under permutations of
+the core slots, so given S the survivors are a uniform S-subset, and
+batches are independent, so their order does not matter.  Batches that
+repeat (the churn schedule's groups) are not drawn one by one: the law
+of S after all of them is built once per run by stepping the
+hypergeometric rows of that chain, and each trial draws S from it with
+one inverse-CDF lookup.  Every other batch, and the probe, is one
+hypergeometric draw per trial; numpy's sampler bounds the population,
+hence n < 10^9.  Memory per block is O(block), plus O(q) for the law
+and a fixed budget of values for building it, independent of n and of
+delta.  Only the law is computed; the misses are simulated, and no
+closed form for the miss probability is consulted.
 
 Determinism contract: trials are partitioned into fixed-size blocks and
 block b draws from ``SeedSequence(entropy=seed, spawn_key=(b,))``; block
@@ -76,9 +74,14 @@ _BLOCK_ELEMENTS = 1 << 24
 _MIN_BLOCK = 64
 _MAX_BLOCK = 16384
 
-# Per-call budget of int32 values for the replacement samplers, so a
-# churn block's memory does not grow with delta.
+# Per-call budget of float64 values for building the survivor law.
 _CALL_ELEMENTS = 1 << 22
+
+# Cost model for applying a batch group, in values scattered: one numpy
+# call costs about 3000 of them, and a matrix product does about 200
+# multiply-adds in the time of one (2 vCPUs, numpy 2.4).
+_CALL_COST = 3000
+_MATMUL_SPEEDUP = 200
 
 
 @dataclass(frozen=True)
@@ -208,78 +211,6 @@ def _block_rng(seed: int, block: int) -> np.random.Generator:
     )
 
 
-def _selection_hits(
-    rng: np.random.Generator, size: int, n: int, k: int, m: int, units: int
-) -> np.ndarray:
-    """Knuth's selection sampling (Algorithm S) over slots 0..m-1.
-
-    Slot i joins a unit's k-subset with probability need/(n - i), where
-    ``need`` is the number of members that unit still lacks; drawing
-    ``integers(0, n - i) < need`` makes that exact.  m vectorised steps,
-    each filling one contiguous row of an (m, size) mask; the (size, m)
-    transpose is returned.
-    """
-    hits = np.empty((m, size), dtype=bool)
-    need = np.full((size, units), k, dtype=np.int32)
-    for i in range(m):
-        taken = rng.integers(0, n - i, size=(size, units), dtype=np.int32) < need
-        need -= taken
-        taken.any(axis=1, out=hits[i])
-    return hits.T
-
-
-def _floyd_hits(
-    rng: np.random.Generator, size: int, n: int, k: int, m: int, units: int
-) -> np.ndarray:
-    """Floyd's subset sampling: k vectorised steps.
-
-    For j in n-k..n-1 each unit draws t in [0, j] and takes j instead
-    when t is already a member.  That membership test only matters
-    while j < m: from j >= m on, a swapped-in j is never a core slot,
-    and a repeated core value marks a slot that is already marked.  So
-    the test runs, and the int32 column is kept for later tests, only
-    while j < m; since j ascends, those are exactly the columns later
-    tests compare against.  Core values are marked in a flat buffer
-    that is returned as the (size, m) mask.
-    """
-    hits = np.zeros(size * m, dtype=bool)
-    columns: list[np.ndarray] = []
-    for j in range(n - k, n):
-        t = rng.integers(0, j + 1, size=(size, units), dtype=np.int32)
-        if j < m:
-            for earlier in columns:
-                t[t == earlier] = j
-            columns.append(t)
-        t = t.ravel()
-        core = np.flatnonzero(t < m)
-        hits[core // units * m + t[core]] = True
-    return hits.reshape(size, m)
-
-
-def _core_hits(
-    rng: np.random.Generator, size: int, n: int, k: int, m: int, units: int = 1
-) -> np.ndarray:
-    """Which of the slots 0..m-1 fall in any of ``units`` uniform k-subsets.
-
-    Returns a bool array of shape (size, m); each row draws its own
-    ``units`` independent k-subsets of range(n).  Selection sampling
-    costs m steps, Floyd's algorithm k steps with up to k(k-1)/2
-    membership comparisons, so the cheaper of the two is taken.  Both
-    are exact.
-    Units are drawn in chunks, so a call holds at most about
-    ``_CALL_ELEMENTS`` int32 values however many units it is given.
-    """
-    if k * (k - 1) // 2 >= m:
-        sample, per_unit = _selection_hits, size
-    else:
-        sample, per_unit = _floyd_hits, size * max(k, 1)
-    chunk = max(1, _CALL_ELEMENTS // per_unit)
-    hits = sample(rng, size, n, k, m, min(units, chunk))
-    for start in range(chunk, units, chunk):
-        hits |= sample(rng, size, n, k, m, min(chunk, units - start))
-    return hits
-
-
 def _floyd_subsets(rng: np.random.Generator, size: int, n: int, k: int) -> np.ndarray:
     """Floyd's algorithm over all of range(n): k vectorised steps.
 
@@ -346,28 +277,91 @@ def _replacement_units(config: TrialConfig) -> list[tuple[int, int]]:
     return sorted(counts.items())
 
 
+def _batch_rows(n: int, r: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One batch of r as rows of the survivor chain, one row per S in ``states``.
+
+    Returns (targets, probs) of shape (len(states), width): row S gives
+    the chance C(S, k) C(n - S, r - k) / C(n, r) that the batch leaves
+    S - k survivors.  Each row is anchored at its mode
+    k = (r+1)(S+1) // (n+2), set to 1 there and stepped outward by the
+    integer ratio of neighbouring terms, then normalised; so no term
+    overflows, and only terms far below the mode can underflow.  The
+    ratio is 0 at each edge of the support, so every term past an edge
+    is 0 and its target can be clipped into [0, S].
+    """
+    s = states[:, None]
+    mode = (r + 1) * (states + 1) // (n + 2)
+    # Above the mode each step multiplies by P(k+1)/P(k), below it by P(k-1)/P(k).
+    k = mode[:, None] + np.arange((np.minimum(states, r) - mode).max())
+    up = np.cumprod((s - k) * (r - k) / ((k + 1) * (n - s - r + k + 1)), axis=1)
+    k = mode[:, None] - np.arange((mode - np.maximum(0, r - n + states)).max())
+    down = np.cumprod(k * (n - s - r + k) / ((s - k + 1) * (r - k + 1)), axis=1)
+    probs = np.hstack((down[:, ::-1], np.ones((len(states), 1)), up))
+    probs /= probs.sum(axis=1, keepdims=True)
+    removed = mode[:, None] + np.arange(-down.shape[1], up.shape[1] + 1)
+    return s - removed.clip(0, s), probs
+
+
+def _survivor_law(n: int, q: int, groups: list[tuple[int, int]]) -> np.ndarray:
+    """P(S = s) for s in 0..q after every (r, count) group, as floats.
+
+    S starts at q, and each batch of r replaces Hyp(S, n - S, r) of the
+    S survivors.  A group is applied batch by batch, one scatter of its
+    rows each, or as a power of its (q+1)^2 transition matrix, whichever
+    the cost model says is cheaper; the power only if the matrix fits
+    ``_CALL_ELEMENTS``.  Only the states the group can reach before its
+    last batch get rows, built in chunks of at most ``_CALL_ELEMENTS``
+    values; rows are rebuilt per batch only when they need two chunks.
+    """
+    law = np.zeros(q + 1)
+    law[q] = 1.0
+    for r, count in groups:
+        span = min(q, r) + 1
+        states = np.arange(max(0, np.flatnonzero(law)[0] - (count - 1) * r), q + 1)
+        chunk = max(1, _CALL_ELEMENTS // (2 * span - 1))
+        parts = [states[i : i + chunk] for i in range(0, len(states), chunk)]
+        stepping = count * (len(states) * span + _CALL_COST)
+        squaring = count.bit_length() * ((q + 1) ** 3 / _MATMUL_SPEEDUP + _CALL_COST)
+        if (q + 1) ** 2 <= _CALL_ELEMENTS and squaring < stepping:
+            matrix = np.zeros((q + 1, q + 1))
+            for part in parts:
+                targets, probs = _batch_rows(n, r, part)
+                np.add.at(matrix, (part[:, None], targets), probs)
+            law = law @ np.linalg.matrix_power(matrix, count)
+            continue
+        kept = [_batch_rows(n, r, parts[0])] if len(parts) == 1 else None
+        for _ in range(count):
+            rows = kept or (_batch_rows(n, r, part) for part in parts)
+            law = sum(
+                np.bincount(
+                    targets.ravel(), (law[part, None] * probs).ravel(), minlength=q + 1
+                )
+                for part, (targets, probs) in zip(parts, rows)
+            )
+    return law
+
+
 def _block_outcome(
-    config: TrialConfig, units: list[tuple[int, int]], block: int, size: int
+    config: TrialConfig,
+    units: list[tuple[int, int]],
+    cdf: np.ndarray | None,
+    block: int,
+    size: int,
 ) -> tuple[int, int, int]:
     """Misses, survivor sum and survivor sum of squares over one block.
 
     A trial carries S, its count of core slots no batch has replaced.
-    Repeated batch groups are marked slot by slot first; each single
-    batch then replaces a hypergeometric number of the S survivors, and
-    the trial misses when its probe hits none of them.  Groups stay per
-    slot because chaining one count draw per batch is slower: 91 against
-    55 ms (2 vCPUs) for the 100 batches of 3 in a 16384-trial block at
-    n = 1000, q = 79.
+    S after the repeated batch groups is one inverse-CDF draw from
+    their law, whose ``cdf`` is None when no group replaces anything;
+    each single batch then replaces a hypergeometric number of the S
+    survivors, and the trial misses when its probe hits none of them.
     """
     rng = _block_rng(config.seed, block)
     n, q = config.n, config.q
-    survivors = np.full(size, q, dtype=np.int64)
-    groups = [(r, count) for r, count in units if count > 1]
-    if groups:
-        replaced = np.zeros((size, q), dtype=bool)
-        for r, count in groups:
-            replaced |= _core_hits(rng, size, n, r, q, units=count)
-        survivors -= np.count_nonzero(replaced, axis=1)
+    if cdf is None:
+        survivors = np.full(size, q, dtype=np.int64)
+    else:
+        survivors = cdf.searchsorted(rng.random(size) * cdf[-1], side="right")
     for r, count in units:
         if count == 1:
             survivors -= rng.hypergeometric(survivors, n - survivors, r)
@@ -382,19 +376,22 @@ def _block_outcome(
 def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
     """Run ``config.trials`` trials of ``config.model``.
 
-    Blocks run on ``threads`` worker threads and their integer outcomes
-    are summed.  Survivor statistics are filled for the churn process
-    only.
+    The law of the survivor count after the repeated batch groups is
+    built once, before any block.  Blocks run on ``threads`` worker
+    threads and their integer outcomes are summed.  Survivor statistics
+    are filled for the churn process only.
     """
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
     units = _replacement_units(config)
+    groups = [(r, count) for r, count in units if count > 1 and r]
+    cdf = np.cumsum(_survivor_law(config.n, config.q, groups)) if groups else None
     block = _block_size(config.n)
     t = config.trials
     blocks = [(b, min(block, t - start)) for b, start in enumerate(range(0, t, block))]
 
     def outcome(b_size):
-        return _block_outcome(config, units, *b_size)
+        return _block_outcome(config, units, cdf, *b_size)
 
     if threads == 1:
         results = map(outcome, blocks)

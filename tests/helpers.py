@@ -3,15 +3,18 @@
 Everything here is deliberately naive: exhaustive enumeration over
 subsets and first-principles product formulas, sharing no code with the
 package so disagreements point at real defects.  The two ``*_hits_reference``
-samplers are the simulator's earlier, plainer samplers, kept to pin the
-current ones to the same draws and masks; ``replacement_schedule_reference``
-is its earlier per-unit schedule, kept to pin the grouped batch sizes.
+samplers mark which core slots uniform subsets hit; ``churn_trials_reference``
+runs the churn process on them slot by slot, an independent check of the
+survivor law the simulator draws from.  ``replacement_schedule_reference``
+is the simulator's earlier per-unit schedule, kept to pin the grouped
+batch sizes.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -121,8 +124,9 @@ def selection_hits_reference(
 ) -> np.ndarray:
     """Selection sampling over slots 0..m-1, filled column by column.
 
-    The simulator's earlier ``_selection_hits``, kept verbatim: the
-    current sampler must make the same draws and return the same mask.
+    Row i marks which of slots 0..m-1 fall in any of ``units`` independent
+    uniform k-subsets of range(n): slot j joins a subset with probability
+    need/(n - j), where ``need`` is the number of members it still lacks.
     """
     hits = np.zeros((size, m), dtype=bool)
     need = np.full((size, units), k, dtype=np.int32)
@@ -138,8 +142,9 @@ def floyd_hits_reference(
 ) -> np.ndarray:
     """Floyd's sampler with the membership test at every step.
 
-    The simulator's earlier ``_floyd_hits``, kept verbatim: every column
-    is compared against every earlier one, k(k-1)/2 comparisons.
+    Same result law as ``selection_hits_reference``: for j in n-k..n-1
+    each subset draws t in [0, j] and takes j instead when t is already
+    a member, so every column is compared against every earlier one.
     """
     hits = np.zeros((size, m), dtype=bool)
     columns: list[np.ndarray] = []
@@ -173,3 +178,59 @@ def replacement_schedule_reference(
         carry = x - r
         schedule.append(r)
     return schedule
+
+
+def churn_trials_reference(
+    n: int, q: int, batches: list[int], size: int, rng: np.random.Generator
+) -> tuple[int, np.ndarray]:
+    """Misses and survivor counts of ``size`` churn trials, drawn slot by slot.
+
+    Each batch replaces a uniform r-subset of range(n); only its
+    intersection with the core slots 0..q-1 is kept.  The probe is a
+    uniform q-subset, and a trial misses when it marks no unreplaced
+    core slot.
+    """
+    replaced = np.zeros((size, q), dtype=bool)
+    for r, count in sorted(Counter(batches).items()):
+        # Either sampler is exact; Floyd's takes r steps, selection q.
+        sample = floyd_hits_reference if r < q else selection_hits_reference
+        replaced |= sample(rng, size, n, r, q, count)
+    probe = selection_hits_reference(rng, size, n, q, q, 1)
+    misses = int(np.count_nonzero(~(probe & ~replaced).any(axis=1)))
+    return misses, q - replaced.sum(axis=1)
+
+
+def survivor_law_reference(n: int, q: int, batches: list[int]) -> list[Fraction]:
+    """P(S = s) for s in 0..q after the batches, in exact rationals.
+
+    S starts at q; a batch of r leaves s - k survivors with probability
+    C(s, k) C(n - s, r - k) / C(n, r).  Weights are kept as integers
+    over the common denominator prod_t C(n, r_t).
+    """
+    weights = [0] * q + [1]
+    denominator = 1
+    for r in batches:
+        step = [0] * (q + 1)
+        for s, weight in enumerate(weights):
+            if weight:
+                for k in range(min(s, r) + 1):
+                    step[s - k] += weight * math.comb(s, k) * math.comb(n - s, r - k)
+        weights = step
+        denominator *= math.comb(n, r)
+    return [Fraction(weight, denominator) for weight in weights]
+
+
+def churn_miss_probability_reference(n: int, q: int, batches: list[int]) -> Fraction:
+    """Miss probability of the churn process by inclusion-exclusion.
+
+    sum_i (-1)^i C(q, i)^2 / C(n, i) * prod_t C(n - i, r_t) / C(n, r_t):
+    term i counts the i-sets of core slots that all survive every batch
+    and all fall in the probe.
+    """
+    total = Fraction(0)
+    for i in range(q + 1):
+        term = Fraction(math.comb(q, i) ** 2, math.comb(n, i))
+        for r, count in Counter(batches).items():
+            term *= Fraction(math.comb(n - i, r), math.comb(n, r)) ** count
+        total += -term if i % 2 else term
+    return total

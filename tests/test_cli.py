@@ -504,9 +504,10 @@ class TestSimulate:
 
     def test_check_flag_exits_4_on_model_gap(self, runner):
         # ceil(c*n) = 1 replacement per unit vs a cumulative alpha of 5:
-        # a real gap the z-test must flag.
+        # a real gap the z-test must flag.  It is about 7.4 standard
+        # errors at 10^5 trials (3.3 at 2 * 10^4, too close to 3 to show).
         args = ["simulate", "--n", "100", "--q", "5", "--c", "0.005",
-                "--delta", "10", "--trials", "20000"]
+                "--delta", "10", "--trials", "100000"]
         assert invoke(runner, *args).exit_code == 0
         flagged = invoke(runner, *args, "--check")
         assert flagged.exit_code == 4

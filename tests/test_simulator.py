@@ -6,6 +6,7 @@ import statistics
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -27,17 +28,20 @@ from coreprobe import (
     run_trials,
     wilson_interval,
 )
+from coreprobe import simulator
 from coreprobe.simulator import (
     _block_rng,
     _block_size,
-    _floyd_hits,
     _replacement_units,
-    _selection_hits,
+    _survivor_law,
 )
 from helpers import (
+    churn_miss_probability_reference,
+    churn_trials_reference,
     floyd_hits_reference,
     replacement_schedule_reference,
     selection_hits_reference,
+    survivor_law_reference,
 )
 
 
@@ -189,10 +193,10 @@ def _within_4_sigma(count, trials, p):
     return abs(count - mean) < 4 * math.sqrt(trials * p * (1 - p))
 
 
-@pytest.mark.parametrize("method", [_selection_hits, _floyd_hits])
+@pytest.mark.parametrize("method", [selection_hits_reference, floyd_hits_reference])
 class TestCoreHits:
-    # Both exact samplers are called directly, whichever _core_hits
-    # would pick for these (k, m).
+    # The two slot samplers behind the reference churn sampler in
+    # helpers.py, checked against exact subset laws.
     @pytest.mark.parametrize("k", [0, 1, 4, 10])
     def test_full_mask_has_k_members_per_row(self, method, k):
         hits = method(_block_rng(5, 0), 2000, 10, k, 10, 1)
@@ -237,75 +241,55 @@ class TestCoreHits:
         assert _within_4_sigma(count, trials, float(both))
 
 
-def _assert_same_masks(method, reference, cases, seed=0):
-    # Both sides start from one seed and are called in the same order,
-    # so a single diverging draw fails every later case.
-    got_rng, want_rng = _block_rng(seed, 0), _block_rng(seed, 0)
-    for size, n, k, m, units in cases:
-        got = method(got_rng, size, n, k, m, units)
-        want = reference(want_rng, size, n, k, m, units)
-        assert got.shape == want.shape == (size, m)
-        assert np.array_equal(got, want), (size, n, k, m, units)
+def _z(observed, mean, variance, trials):
+    return (observed - mean) / math.sqrt(variance / trials)
 
 
-@pytest.mark.parametrize(
-    "method, reference",
-    [(_selection_hits, selection_hits_reference), (_floyd_hits, floyd_hits_reference)],
-)
-class TestSamplerEquivalence:
-    # The samplers must make exactly the draws their earlier versions
-    # made and return exactly the same masks, so every report stays
-    # byte-identical.
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_every_k_and_m_and_unit_count(self, method, reference, n):
-        cases = [
-            (8, n, k, m, units)
-            for k in range(n + 1)
-            for m in range(n + 1)
-            for units in range(1, 5)
-        ]
-        _assert_same_masks(method, reference, cases, seed=n)
-
-    @pytest.mark.parametrize("n", [17, 23, 30])
-    def test_every_k_and_m_at_larger_n(self, method, reference, n):
-        # Unit counts 1-4 take turns over the (k, m) grid.
-        cases = [
-            (8, n, k, m, 1 + (k + m) % 4)
-            for k in range(n + 1)
-            for m in range(n + 1)
-        ]
-        _assert_same_masks(method, reference, cases, seed=n)
-
-    def test_degenerate_sizes(self, method, reference):
-        cases = [
-            (50, 1, 0, 0, 1), (50, 1, 0, 1, 3), (50, 1, 1, 0, 2), (50, 1, 1, 1, 4),
-            (50, 40, 0, 7, 2), (50, 40, 9, 0, 3), (1, 40, 9, 7, 1),
-        ]
-        _assert_same_masks(method, reference, cases)
-
-    def test_membership_test_where_a_swap_can_land_in_the_core(self, method, reference):
-        # n - k < m: Floyd's first steps have j < m, so a swapped-in j
-        # can be a core slot and the membership test decides the mask.
-        cases = [
-            (4000, 10, 3, 9, 5),
-            (4000, 60, 8, 58, 2),
-            (2000, 200, 15, 190, 3),
-            (2000, 200, 40, 200, 1),
-            (500, 1000, 20, 999, 4),
-        ]
-        _assert_same_masks(method, reference, cases)
+def _survivor_moments(n, q, batches):
+    """Exact mean and variance of S, from its first two factorial moments."""
+    mean, pairs = Fraction(q), Fraction(q * (q - 1))
+    for r in batches:
+        mean *= Fraction(n - r, n)
+        pairs *= Fraction((n - r) * (n - r - 1), n * (n - 1))
+    return mean, pairs + mean - mean**2
 
 
-def test_samplers_match_on_the_churn_benchmark_block():
-    # The two calls _core_hits makes for one block of the churn
-    # benchmark (n = 1000, q = 79, c = 0.003, 16384 trials): Floyd's
-    # sampler for a chunk of 85 batches of 3, selection for the probe.
-    _assert_same_masks(
-        _floyd_hits, floyd_hits_reference, [(16384, 1000, 3, 79, 85)], seed=701
+class TestReferenceSampler:
+    # helpers.churn_trials_reference marks core slots batch by batch,
+    # sharing no code with the survivor law the simulator draws from.
+    # Its estimates are z-tested against the exact process values.
+    @pytest.mark.parametrize(
+        "n, q, batches, trials",
+        [
+            (1000, 79, [3] * 100, 32768),
+            (10, 9, [3] * 5, 200_000),
+            (200, 20, [2, 3] * 20, 50_000),
+        ],
     )
-    _assert_same_masks(
-        _selection_hits, selection_hits_reference, [(16384, 1000, 79, 79, 1)], seed=701
+    def test_misses_and_survivor_mean_match_the_exact_process(
+        self, n, q, batches, trials
+    ):
+        misses, survivors = churn_trials_reference(
+            n, q, batches, trials, _block_rng(11, 0)
+        )
+        eps = float(churn_miss_probability_reference(n, q, batches))
+        assert abs(_z(misses / trials, eps, eps * (1 - eps), trials)) < 4
+        mean, variance = _survivor_moments(n, q, batches)
+        z = _z(survivors.mean(), float(mean), float(variance), trials)
+        assert abs(z) < 4
+
+    def test_exact_value_at_the_benchmark_cell(self):
+        eps = churn_miss_probability_reference(1000, 79, [3] * 100)
+        assert float(eps) == pytest.approx(0.00737043, abs=5e-9)
+
+    @pytest.mark.parametrize(
+        "n, q, batches", [(100, 5, [1] * 10), (60, 7, [3] * 6), (20, 6, [2, 2, 3])]
     )
+    def test_inclusion_exclusion_matches_the_survivor_chain(self, n, q, batches):
+        law = survivor_law_reference(n, q, batches)
+        avoid = [Fraction(math.comb(n - s, q), math.comb(n, q)) for s in range(q + 1)]
+        chain = sum(p * a for p, a in zip(law, avoid))
+        assert chain == churn_miss_probability_reference(n, q, batches)
 
 
 class TestDeterminism:
@@ -394,36 +378,61 @@ class TestChurnProcess:
         assert report.survivor_mean == 5.0
         assert report.misses == run_trials(_churn(20, 5, 0.0, 9, 5000)).misses
 
-    # Frozen miss counts and survivor sums guard the replacement
-    # samplers: a change in any draw would shift them.
+    # Frozen miss counts and survivor sums guard the survivor law and
+    # the draws made from it: a change in any draw would shift them.
+    # Each estimate's 99% Wilson interval holds the exact process value.
     def test_frozen_counts_where_the_core_is_out_of_swap_reach(self):
-        # n - ceil(c*n) >= q: Floyd's membership test never runs.
+        # n - ceil(c*n) >= q: the benchmark cell, 100 batches of 3.
         report = run_trials(_churn(1000, 79, 0.003, 100, 32768))
-        assert report.misses == 244
-        assert report.survivor_mean == 1_917_746 / 32768
+        assert report.misses == 255
+        assert report.survivor_mean == 1_915_748 / 32768
+        exact = float(churn_miss_probability_reference(1000, 79, [3] * 100))
+        assert report.ci_low <= exact <= report.ci_high
 
     def test_frozen_counts_where_swaps_land_in_the_core(self):
-        # n - ceil(c*n) = 7 < q = 9: the membership test decides hits.
+        # n - ceil(c*n) = 7 < q = 9: every batch can take core slots only.
         report = run_trials(_churn(10, 9, 0.3, 5, 200_000))
-        assert report.misses == 31_983
-        assert report.survivor_mean == 302_647 / 200_000
+        assert report.misses == 32_099
+        assert report.survivor_mean == 302_581 / 200_000
+        exact = float(churn_miss_probability_reference(10, 9, [3] * 5))
+        assert report.ci_low <= exact <= report.ci_high
 
     def test_frozen_counts_fractional(self):
         # c*n = 2.5: batches of 2 and 3 alternate.
         report = run_trials(_churn(200, 20, 0.0125, 40, 50_000, fractional=True))
-        assert report.misses == 13_797
-        assert report.survivor_mean == 605_222 / 50_000
+        assert report.misses == 13_754
+        assert report.survivor_mean == 604_119 / 50_000
+        exact = float(churn_miss_probability_reference(200, 20, [2, 3] * 20))
+        assert report.ci_low <= exact <= report.ci_high
 
     def test_single_batch_in_a_fractional_schedule(self):
-        # c*n = 2.5 over 3 units: batches of 2, 3, 2.  The lone batch of
-        # 3 is drawn as a survivor count, the pair of 2s slot by slot;
-        # the survivor mean must sit within 4 standard errors of
-        # q * prod_t (1 - r_t/n).
+        # c*n = 2.5 over 3 units: batches of 2, 3, 2.  The pair of 2s is
+        # drawn from its survivor law, the lone batch of 3 as a
+        # hypergeometric count; the survivor mean must sit within 4
+        # standard errors of q * prod_t (1 - r_t/n).
         cfg = _churn(20, 10, 0.125, 3, 100_000, fractional=True)
         assert _replacement_units(cfg) == [(2, 2), (3, 1)]
         report = run_trials(cfg)
         expected = 10 * (1 - 2 / 20) ** 2 * (1 - 3 / 20)
         se = report.survivor_stddev / math.sqrt(cfg.trials)
+        assert abs(report.survivor_mean - expected) <= 4 * se
+
+    def test_long_delta_squares_its_transition(self):
+        # One batch of 1 per unit for 10^6 units: the law comes from a
+        # power of the 80 x 80 transition, not 10^6 steps, so a full
+        # block finishes well under a second.
+        start = time.perf_counter()
+        report = run_trials(_churn(1000, 79, 1e-6, 10**6, 16384))
+        assert time.perf_counter() - start < 1.0
+        assert report.misses == 16384 and report.survivor_mean == 0.0
+
+    def test_long_delta_survivor_mean(self):
+        # After 3000 single-node batches a core slot survives with
+        # probability (1 - 1/1000)^3000, so the mean is about 3.92.
+        trials = 32768
+        report = run_trials(_churn(1000, 79, 1e-6, 3000, trials))
+        expected = 79 * (1 - 1 / 1000) ** 3000
+        se = report.survivor_stddev / math.sqrt(trials)
         assert abs(report.survivor_mean - expected) <= 4 * se
 
     @pytest.mark.parametrize(
@@ -498,6 +507,81 @@ class TestChurnProcess:
         assert frac_report.misses < ceil_report.misses
 
 
+_LAW_PATHS = {
+    "stepping": {"_MATMUL_SPEEDUP": 1e-9},
+    "squaring": {"_MATMUL_SPEEDUP": math.inf},
+    "chunked": {"_MATMUL_SPEEDUP": 1e-9, "_CALL_ELEMENTS": 64},
+}
+
+
+class TestSurvivorLaw:
+    @pytest.mark.parametrize("path", sorted(_LAW_PATHS))
+    @pytest.mark.parametrize("n", range(1, 16))
+    def test_matches_the_exact_chain_at_small_n(self, n, path, monkeypatch):
+        # Every (q, r, count) with count <= 4, through each way of
+        # applying a group: batch by batch, by a matrix power, and batch
+        # by batch with rows rebuilt from several chunks.
+        for name, value in _LAW_PATHS[path].items():
+            monkeypatch.setattr(simulator, name, value)
+        for q in range(n + 1):
+            for r in range(n + 1):
+                for count in range(1, 5):
+                    exact = survivor_law_reference(n, q, [r] * count)
+                    want = np.array([float(p) for p in exact])
+                    got = _survivor_law(n, q, [(r, count)])
+                    assert (abs(got - want) <= 1e-12 * want).all(), (q, r, count)
+
+    @pytest.mark.parametrize(
+        "n, q, c, delta, fractional",
+        [
+            (1000, 79, 0.003, 100, False),  # the mc-churn benchmark cell
+            (1000, 1000, 0.01, 50, False),  # criterion 8
+            (200, 20, 0.0025, 40, True),  # batches of 0 and 1, 20 each
+            # C(n - s, r) / C(n, r) underflows: rows must not start there.
+            (2000, 400, 0.8, 2, False),
+            (10**5, 2000, 0.4, 2, False),
+        ],
+    )
+    def test_mass_and_moments_are_exact(self, n, q, c, delta, fractional):
+        units = _replacement_units(_churn(n, q, c, delta, 1, fractional=fractional))
+        assert all(count > 1 for _, count in units)
+        law = _survivor_law(n, q, units)
+        assert np.isfinite(law).all() and (law >= 0).all()
+        s = np.arange(q + 1)
+        batches = [r for r, count in units for _ in range(count)]
+        mean, variance = _survivor_moments(n, q, batches)
+        pairs = variance + mean**2 - mean
+        assert law.sum() == pytest.approx(1.0, rel=1e-12)
+        assert (law * s).sum() == pytest.approx(float(mean), rel=1e-12)
+        assert (law * s * (s - 1)).sum() == pytest.approx(float(pairs), rel=1e-12)
+
+    @pytest.mark.parametrize("q, at", [(6, 0), (6, 3), (6, 6)])
+    def test_a_certain_count_is_always_drawn(self, q, at):
+        # A law with all its mass on one count, zeros on either side:
+        # every draw must land there, so the survivor sums have no spread.
+        law = np.zeros(q + 1)
+        law[at] = 1.0
+        cfg = _churn(1000, q, 0.003, 2, 16384)
+        _, total, squares = simulator._block_outcome(cfg, [], np.cumsum(law), 0, 16384)
+        assert (total, squares) == (at * 16384, at * at * 16384)
+
+    @pytest.mark.parametrize(
+        "n, q, c, delta",
+        [(1000, 79, 0.003, 100), (2000, 400, 0.8, 2), (50, 10, 0.1, 4)],
+    )
+    def test_every_drawn_count_lies_in_the_support(self, n, q, c, delta):
+        # The block's draws, replayed: each S has positive probability,
+        # and the block reports exactly their sums.
+        cfg = _churn(n, q, c, delta, 16384)
+        law = _survivor_law(n, q, _replacement_units(cfg))
+        cdf = np.cumsum(law)
+        u = _block_rng(cfg.seed, 0).random(16384)
+        drawn = np.searchsorted(cdf, u * cdf[-1], side="right")
+        assert (law[drawn] > 0).all()
+        _, total, squares = simulator._block_outcome(cfg, [], cdf, 0, 16384)
+        assert (total, squares) == (int(drawn.sum()), int((drawn**2).sum()))
+
+
 class TestCompareWithAnalytic:
     def test_urn_agrees_with_closed_form(self):
         cmp = compare_with_analytic(_urn(6, 2, 3, 10**6))
@@ -542,8 +626,14 @@ class TestCompareWithAnalytic:
     def test_flags_ceiling_versus_cumulative_gap(self):
         # At c*n = 0.5 the per-unit ceiling replaces ~2x the nodes the
         # cumulative-ratio alpha accounts for, a real modelling gap the
-        # z-test is meant to surface.
-        cmp = compare_with_analytic(_churn(100, 5, 0.005, 10, 20_000))
+        # z-test is meant to surface.  The process misses with 0.789959,
+        # the urn at alpha = 5 with 0.780198: about 7.4 standard errors
+        # apart at 10^5 trials (3.3 at 2 * 10^4, too close to 3 to show).
+        cmp = compare_with_analytic(_churn(100, 5, 0.005, 10, 100_000))
+        exact = float(churn_miss_probability_reference(100, 5, [1] * 10))
+        assert exact == pytest.approx(0.789959, abs=5e-7)
+        assert cmp.epsilon_analytic == pytest.approx(0.780198, abs=5e-7)
+        assert cmp.report.ci_low <= exact <= cmp.report.ci_high
         assert cmp.report.epsilon_hat > cmp.epsilon_analytic
         assert cmp.z_score > 3
         assert cmp.flagged
