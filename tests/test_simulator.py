@@ -36,6 +36,8 @@ from coreprobe.simulator import (
     _survivor_law,
 )
 from helpers import (
+    _floyd_hits,
+    _selection_hits,
     churn_miss_probability_reference,
     churn_trials_reference,
     floyd_hits_reference,
@@ -193,10 +195,11 @@ def _within_4_sigma(count, trials, p):
     return abs(count - mean) < 4 * math.sqrt(trials * p * (1 - p))
 
 
-@pytest.mark.parametrize("method", [selection_hits_reference, floyd_hits_reference])
+@pytest.mark.parametrize("method", [_selection_hits, _floyd_hits])
 class TestCoreHits:
     # The two slot samplers behind the reference churn sampler in
-    # helpers.py, checked against exact subset laws.
+    # helpers.py, checked against exact subset laws.  Both are called
+    # directly, whichever the reference sampler would pick for (k, m).
     @pytest.mark.parametrize("k", [0, 1, 4, 10])
     def test_full_mask_has_k_members_per_row(self, method, k):
         hits = method(_block_rng(5, 0), 2000, 10, k, 10, 1)
@@ -239,6 +242,77 @@ class TestCoreHits:
         both = Fraction(math.comb(n - 2, k), math.comb(n, k)) ** units
         count = int((~hits[:, 0] & ~hits[:, 1]).sum())
         assert _within_4_sigma(count, trials, float(both))
+
+
+def _assert_same_masks(method, reference, cases, seed=0):
+    # Both sides start from one seed and are called in the same order,
+    # so a single diverging draw fails every later case.
+    got_rng, want_rng = _block_rng(seed, 0), _block_rng(seed, 0)
+    for size, n, k, m, units in cases:
+        got = method(got_rng, size, n, k, m, units)
+        want = reference(want_rng, size, n, k, m, units)
+        assert got.shape == want.shape == (size, m)
+        assert np.array_equal(got, want), (size, n, k, m, units)
+
+
+@pytest.mark.parametrize(
+    "method, reference",
+    [(_selection_hits, selection_hits_reference), (_floyd_hits, floyd_hits_reference)],
+)
+class TestSamplerEquivalence:
+    # The vectorised samplers behind the reference churn sampler must
+    # make exactly the draws of their plain column-by-column copies and
+    # return exactly the same masks.
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_every_k_and_m_and_unit_count(self, method, reference, n):
+        cases = [
+            (8, n, k, m, units)
+            for k in range(n + 1)
+            for m in range(n + 1)
+            for units in range(1, 5)
+        ]
+        _assert_same_masks(method, reference, cases, seed=n)
+
+    @pytest.mark.parametrize("n", [17, 23, 30])
+    def test_every_k_and_m_at_larger_n(self, method, reference, n):
+        # Unit counts 1-4 take turns over the (k, m) grid.
+        cases = [
+            (8, n, k, m, 1 + (k + m) % 4)
+            for k in range(n + 1)
+            for m in range(n + 1)
+        ]
+        _assert_same_masks(method, reference, cases, seed=n)
+
+    def test_degenerate_sizes(self, method, reference):
+        cases = [
+            (50, 1, 0, 0, 1), (50, 1, 0, 1, 3), (50, 1, 1, 0, 2), (50, 1, 1, 1, 4),
+            (50, 40, 0, 7, 2), (50, 40, 9, 0, 3), (1, 40, 9, 7, 1),
+        ]
+        _assert_same_masks(method, reference, cases)
+
+    def test_membership_test_where_a_swap_can_land_in_the_core(self, method, reference):
+        # n - k < m: Floyd's first steps have j < m, so a swapped-in j
+        # can be a core slot and the membership test decides the mask.
+        cases = [
+            (4000, 10, 3, 9, 5),
+            (4000, 60, 8, 58, 2),
+            (2000, 200, 15, 190, 3),
+            (2000, 200, 40, 200, 1),
+            (500, 1000, 20, 999, 4),
+        ]
+        _assert_same_masks(method, reference, cases)
+
+
+def test_samplers_match_on_the_churn_benchmark_block():
+    # The two calls churn_trials_reference makes for one block of the
+    # churn benchmark cell (n = 1000, q = 79, c = 0.003, 16384 trials):
+    # Floyd's sampler for the 100 batches of 3, selection for the probe.
+    _assert_same_masks(
+        _floyd_hits, floyd_hits_reference, [(16384, 1000, 3, 79, 100)], seed=701
+    )
+    _assert_same_masks(
+        _selection_hits, selection_hits_reference, [(16384, 1000, 79, 79, 1)], seed=701
+    )
 
 
 def _z(observed, mean, variance, trials):
