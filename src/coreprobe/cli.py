@@ -24,6 +24,7 @@ Conventions, shared by every subcommand:
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -85,26 +86,6 @@ RATIO = _Ratio(allow_static=False)
 RATIO_OR_STATIC = _Ratio(allow_static=True)
 
 
-def _domain_guard(fn):
-    """Map library errors to the documented exit codes."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except InfeasibleError as exc:
-            _echo(f"infeasible: {exc}", err=True)
-            sys.exit(3)
-        except (ValueError, OverflowError) as exc:
-            _echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except MemoryError as exc:
-            _echo(f"error: out of memory: {exc}", err=True)
-            sys.exit(2)
-
-    return wrapper
-
-
 def _echo(message: str, err: bool = False) -> None:
     # Named explicitly: a stream click finds itself stays cached, and
     # alive, for good, so in-process calls would leak their output.
@@ -120,6 +101,20 @@ def _show_help(ctx: click.Context, param: click.Parameter, value: bool) -> None:
 
 
 class _Command(click.Command):
+    def invoke(self, ctx: click.Context):
+        """Run the command, mapping library errors to the documented exit codes."""
+        try:
+            return super().invoke(ctx)
+        except InfeasibleError as exc:
+            _echo(f"infeasible: {exc}", err=True)
+            sys.exit(3)
+        except (ValueError, OverflowError) as exc:
+            _echo(f"error: {exc}", err=True)
+            sys.exit(2)
+        except MemoryError as exc:
+            _echo(f"error: out of memory: {exc}", err=True)
+            sys.exit(2)
+
     def get_help_option(self, ctx: click.Context) -> click.Option | None:
         option = super().get_help_option(ctx)
         if option is not None:
@@ -197,6 +192,34 @@ def _resolve_target(epsilon, p) -> Fraction:
     return 1 - p if epsilon is None else epsilon
 
 
+def _options(*decorators):
+    """Apply several option decorators as one, listed in --help order."""
+    return lambda fn: functools.reduce(lambda f, d: d(f), reversed(decorators), fn)
+
+
+# Flags shared by several commands, each declared once.
+_N_OPTION = click.option("--n", type=int, required=True, help="System size (node count).")
+_Q_OPTION = click.option("--q", type=int, required=True,
+                         help="Core size; probes use the same count.")
+_MODE_OPTION = click.option("--mode", type=_MODE, default="auto", show_default=True,
+                            help="Numeric path.")
+_JSON_OPTION = click.option("--json", "as_json", is_flag=True, help="Emit a canonical JSON record.")
+_CHURN_OPTIONS = _options(
+    click.option("--alpha", type=int, default=None, help="Replaced-node count."),
+    click.option("--C", "cap_c", type=RATIO_OR_STATIC, default=None,
+                 help="Churn ratio over the span ('static' for none)."),
+    click.option("--c", "c_rate", type=RATIO, default=None, help="Per-time-unit churn rate."),
+    click.option("--delta", type=int, default=None,
+                 help="Time units between core formation and probe."),
+)
+_TARGET_OPTIONS = _options(
+    click.option("--epsilon", type=RATIO, default=None,
+                 help="Largest acceptable miss probability."),
+    click.option("--p", type=RATIO, default=None,
+                 help="Smallest acceptable hit probability (= 1 - epsilon)."),
+)
+
+
 def _split_tokens(text: str, name: str) -> list[str]:
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
@@ -216,16 +239,11 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="System size (node count).")
-@click.option("--q", type=int, required=True, help="Core size; probes use the same count.")
-@click.option("--alpha", type=int, default=None, help="Replaced-node count.")
-@click.option("--C", "cap_c", type=RATIO_OR_STATIC, default=None,
-              help="Churn ratio over the span ('static' for none).")
-@click.option("--c", "c_rate", type=RATIO, default=None, help="Per-time-unit churn rate.")
-@click.option("--delta", type=int, default=None, help="Time units between core formation and probe.")
-@click.option("--mode", type=_MODE, default="auto", show_default=True, help="Numeric path.")
-@click.option("--json", "as_json", is_flag=True, help="Emit a canonical JSON record.")
-@_domain_guard
+@_N_OPTION
+@_Q_OPTION
+@_CHURN_OPTIONS
+@_MODE_OPTION
+@_JSON_OPTION
 def prob(n, q, alpha, cap_c, c_rate, delta, mode, as_json):
     """Miss probability for one parameter set.
 
@@ -261,18 +279,11 @@ def prob(n, q, alpha, cap_c, c_rate, delta, mode, as_json):
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="System size (node count).")
-@click.option("--epsilon", type=RATIO, default=None, help="Largest acceptable miss probability.")
-@click.option("--p", type=RATIO, default=None,
-              help="Smallest acceptable hit probability (= 1 - epsilon).")
-@click.option("--alpha", type=int, default=None, help="Replaced-node count.")
-@click.option("--C", "cap_c", type=RATIO_OR_STATIC, default=None,
-              help="Churn ratio over the span ('static' for none).")
-@click.option("--c", "c_rate", type=RATIO, default=None, help="Per-time-unit churn rate.")
-@click.option("--delta", type=int, default=None, help="Time units between core formation and probe.")
-@click.option("--mode", type=_MODE, default="auto", show_default=True, help="Numeric path.")
-@click.option("--json", "as_json", is_flag=True, help="Emit a canonical JSON record.")
-@_domain_guard
+@_N_OPTION
+@_TARGET_OPTIONS
+@_CHURN_OPTIONS
+@_MODE_OPTION
+@_JSON_OPTION
 def size(n, epsilon, p, alpha, cap_c, c_rate, delta, mode, as_json):
     """Minimal core size meeting a miss-probability target.
 
@@ -309,12 +320,10 @@ def size(n, epsilon, p, alpha, cap_c, c_rate, delta, mode, as_json):
 @click.option("--C", "budget", type=RATIO, default=None, help="Churn ratio budget for the span.")
 @click.option("--n", type=int, default=None, help="System size (miss-target form).")
 @click.option("--q", type=int, default=None, help="Core size (miss-target form).")
-@click.option("--epsilon", type=RATIO, default=None, help="Largest acceptable miss probability.")
-@click.option("--p", type=RATIO, default=None, help="Smallest acceptable hit probability.")
+@_TARGET_OPTIONS
 @click.option("--horizon", type=int, default=None, help="Search cap for the miss-target form.")
 @click.option("--mode", type=_MODE, default=None, help="Numeric path.  [default: auto]")
-@click.option("--json", "as_json", is_flag=True, help="Emit a canonical JSON record.")
-@_domain_guard
+@_JSON_OPTION
 def lifetime(c, budget, n, q, epsilon, p, horizon, mode, as_json):
     """Largest probe delay delta a churn budget allows.
 
@@ -377,8 +386,7 @@ def lifetime(c, budget, n, q, epsilon, p, horizon, mode, as_json):
 @click.option("--C", "ratio", type=RATIO, required=True,
               help="Churn ratio reached after --delta units.")
 @click.option("--delta", type=int, required=True, help="Time units in the span.")
-@click.option("--json", "as_json", is_flag=True, help="Emit a canonical JSON record.")
-@_domain_guard
+@_JSON_OPTION
 def churn(ratio, delta, as_json):
     """Per-time-unit churn rate producing a ratio in a given span.
 
@@ -393,31 +401,15 @@ def churn(ratio, delta, as_json):
 
 
 @main.command()
-@click.option(
-    "--n",
-    "n_list",
-    default="1000,10000,100000",
-    show_default=True,
-    help="Comma-separated system sizes.",
-)
-@click.option(
-    "--p",
-    "p_list",
-    default="99%,99.9%",
-    show_default=True,
-    help="Comma-separated hit-probability targets.",
-)
-@click.option(
-    "--C",
-    "c_list",
-    default="static,10%,30%,60%,80%",
-    show_default=True,
-    help="Comma-separated churn ratios ('static' allowed).",
-)
-@click.option("--mode", type=_MODE, default="auto", show_default=True, help="Numeric path.")
+@click.option("--n", "n_list", default="1000,10000,100000", show_default=True,
+              help="Comma-separated system sizes.")
+@click.option("--p", "p_list", default="99%,99.9%", show_default=True,
+              help="Comma-separated hit-probability targets.")
+@click.option("--C", "c_list", default="static,10%,30%,60%,80%", show_default=True,
+              help="Comma-separated churn ratios ('static' allowed).")
+@_MODE_OPTION
 @click.option("--csv", "as_csv", is_flag=True, help="Emit CSV (header n,p,C,q,epsilon).")
-@click.option("--json", "as_json", is_flag=True, help="Emit a canonical JSON record.")
-@_domain_guard
+@_JSON_OPTION
 def table(n_list, p_list, c_list, mode, as_csv, as_json):
     """Minimal core sizes over a (n, p, C) grid; defaults give 30 cells.
 
@@ -490,15 +482,11 @@ def _sweep_points(variable, start, stop, step, values):
 @click.option("--stop", default=None, help="Last swept value (inclusive).")
 @click.option("--step", default=None, help="Increment; defaults to 1 for integer sweeps.")
 @click.option("--values", default=None, help="Explicit comma-separated sweep values.")
-@click.option("--n", type=int, required=True, help="System size (node count).")
+@_N_OPTION
 @click.option("--q", "q_fixed", type=int, default=None, help="Core size, when not swept/solved.")
-@click.option("--alpha", type=int, default=None, help="Replaced-node count.")
-@click.option("--C", "cap_c", type=RATIO_OR_STATIC, default=None, help="Churn ratio ('static' for none).")
-@click.option("--c", "c_rate", type=RATIO, default=None, help="Per-time-unit churn rate.")
-@click.option("--delta", type=int, default=None, help="Time units between core formation and probe.")
-@click.option("--mode", type=_MODE, default="auto", show_default=True, help="Numeric path.")
+@_CHURN_OPTIONS
+@_MODE_OPTION
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON rows instead of CSV.")
-@_domain_guard
 def sweep(variable, start, stop, step, values, n, q_fixed, alpha, cap_c, c_rate, delta, mode, as_json):
     """Evaluate the model along one variable; emit one row per point.
 
@@ -540,22 +528,16 @@ def sweep(variable, start, stop, step, values, n, q_fixed, alpha, cap_c, c_rate,
 
 
 @main.command()
-@click.option("--n", type=int, required=True, help="System size (node count).")
-@click.option("--q", type=int, required=True, help="Core size; probes use the same count.")
-@click.option("--alpha", type=int, default=None, help="Replaced-node count (urn model).")
-@click.option("--C", "cap_c", type=RATIO_OR_STATIC, default=None,
-              help="Churn ratio; converted to alpha (urn model).")
-@click.option("--c", "c_rate", type=RATIO, default=None,
-              help="Per-unit churn rate (churn_process model).")
-@click.option("--delta", type=int, default=None, help="Time units to simulate (churn_process model).")
+@_N_OPTION
+@_Q_OPTION
+@_CHURN_OPTIONS
 @click.option("--trials", type=int, default=100_000, show_default=True, help="Trial count.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Root RNG seed.")
 @click.option("--threads", type=int, default=1, show_default=True, help="Worker threads.")
 @click.option("--fractional-churn", is_flag=True,
               help="Replace c*n nodes per unit on average instead of ceil(c*n).")
 @click.option("--check", is_flag=True, help="Exit 4 when |z| > 3 against the analytic value.")
-@click.option("--json", "as_json", is_flag=True, help="Emit a canonical JSON record.")
-@_domain_guard
+@_JSON_OPTION
 def simulate(n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
              fractional_churn, check, as_json):
     """Monte Carlo estimate of the miss probability, with analytic z-score.
@@ -581,23 +563,9 @@ def simulate(n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
     cmp = compare_with_analytic(config, threads=threads)
     report = cmp.report
     if as_json:
-        record = {
-            "model": model,
-            "n": n,
-            "q": q,
-            "alpha": cmp.alpha,
-            "trials": report.trials,
-            "seed": seed,
-            "misses": report.misses,
-            "epsilon_hat": report.epsilon_hat,
-            "ci_low": report.ci_low,
-            "ci_high": report.ci_high,
-            "survivor_mean": report.survivor_mean,
-            "survivor_stddev": report.survivor_stddev,
-            "epsilon_analytic": cmp.epsilon_analytic,
-            "z_score": cmp.z_score,
-            "flagged": cmp.flagged,
-        }
+        # The record is the comparison's fields, the report's flattened in.
+        record = dataclasses.asdict(cmp)
+        record.update(record.pop("report"), model=model, n=n, q=q, seed=seed)
         _emit_json(record)
     else:
         _echo(f"model = {model}  trials = {report.trials}  seed = {seed}")

@@ -38,6 +38,7 @@ how many worker threads run the blocks.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -377,9 +378,10 @@ def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
     """Run ``config.trials`` trials of ``config.model``.
 
     The law of the survivor count after the repeated batch groups is
-    built once, before any block.  Blocks run on ``threads`` worker
-    threads and their integer outcomes are summed.  Survivor statistics
-    are filled for the churn process only.
+    built once, before any block.  Blocks run on up to ``threads`` worker
+    threads, never more than there are blocks or CPUs, and their integer
+    outcomes are summed.  Survivor statistics are filled for the churn
+    process only.
     """
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
@@ -393,10 +395,11 @@ def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
     def outcome(b_size):
         return _block_outcome(config, units, cdf, *b_size)
 
-    if threads == 1:
+    workers = min(threads, len(blocks), os.cpu_count() or 1)
+    if workers == 1:
         results = map(outcome, blocks)
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(outcome, blocks))
     misses, surv_sum, surv_sumsq = (sum(column) for column in zip(*results))
     low, high = wilson_interval(misses, t)

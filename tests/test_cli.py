@@ -586,6 +586,43 @@ class TestSimulate:
         assert bad.exit_code == 2
 
 
+class TestExitCodes:
+    # Library errors raised inside any command map to the documented
+    # codes, with the message on stderr and nothing on stdout.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("prob", "--n", "10", "--q", "11", "--alpha", "1"),
+            ("size", "--n", "0", "--p", "99%", "--C", "10%"),
+            ("lifetime", "--c", "2", "--C", "30%"),
+            ("churn", "--C", "100%", "--delta", "10"),
+            ("table", "--n", "0"),
+            ("sweep", "q", "--n", "10", "--alpha", "1", "--values", "11"),
+            ("simulate", "--n", "10", "--q", "2", "--alpha", "1", "--trials", "0"),
+        ],
+    )
+    def test_domain_errors_exit_2(self, runner, args):
+        result = invoke(runner, *args)
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert result.stdout == ""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("size", "--n", "10", "--p", "99.9%", "--C", "100%"),
+            ("lifetime", "--c", "0.1%", "--n", "1000", "--q", "10", "--p", "99.9%"),
+            ("table", "--n", "10", "--C", "100%"),
+            ("sweep", "epsilon", "--n", "10", "--C", "100%", "--values", "1%"),
+        ],
+    )
+    def test_infeasible_targets_exit_3(self, runner, args):
+        result = invoke(runner, *args)
+        assert result.exit_code == 3
+        assert result.stderr.startswith("infeasible: ")
+        assert result.stdout == ""
+
+
 class TestHelp:
     @pytest.mark.parametrize(
         "command", ["prob", "size", "lifetime", "churn", "table", "sweep", "simulate"]

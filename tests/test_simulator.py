@@ -392,6 +392,34 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             run_trials(_urn(30, 5, 10, 100), threads=0)
 
+    @pytest.mark.parametrize(
+        "cpus, blocks, pools", [(4, 6, [4]), (4, 3, [3]), (1, 6, []), (None, 6, [])]
+    )
+    def test_pool_is_capped_at_blocks_and_cpus(self, monkeypatch, cpus, blocks, pools):
+        # A recording stand-in for the pool, so no thread starts however
+        # many are asked for.  One worker runs the blocks in this thread.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return list(map(fn, items))
+
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        cfg = _urn(10**6, 10, 1000, blocks * _block_size(10**6))
+        report = run_trials(cfg, threads=10**6)
+        assert sizes == pools
+        assert report == run_trials(cfg, threads=1)
+
 
 class TestUrnModel:
     # Frozen miss counts double as regression guards for the RNG scheme:
