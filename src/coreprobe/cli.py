@@ -19,12 +19,14 @@ Conventions, shared by every subcommand:
 * --json emits a canonical record (sorted keys, two-space indent, no
   NaN or Infinity; an undefined z-score is null) that re-serializes to
   identical bytes after a parse round trip.  CSV output uses LF line
-  endings, no quoting, and 17 significant digits for floats.
+  endings, no quoting, and 17 significant digits for floats.  Both write
+  an exact Fraction as its float.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import decimal
 import functools
 import json
 import math
@@ -126,22 +128,27 @@ class _Group(_Command, click.Group):
     command_class = _Command
 
 
+def _plain(value) -> float:
+    """The one Fraction rule of machine output: a Fraction is written as
+    its float.  Any other type JSON or CSV cannot carry is an error, so a
+    stray numpy integer is never floated silently."""
+    if isinstance(value, Fraction):
+        return float(value)
+    raise TypeError(f"cannot write {type(value).__name__} {value!r}")
+
+
 def _emit_json(record) -> None:
-    _echo(json.dumps(record, sort_keys=True, indent=2, allow_nan=False))
-
-
-def _f17(value: float) -> str:
-    return format(float(value), ".17g")
+    _echo(json.dumps(record, sort_keys=True, indent=2, allow_nan=False, default=_plain))
 
 
 def _csv_cell(value) -> str:
     if isinstance(value, bool):
         raise TypeError("no boolean CSV columns")
-    if isinstance(value, int):
+    if isinstance(value, (str, int)):
         return str(value)
     if isinstance(value, float):
-        return _f17(value)
-    return str(value)
+        return format(value, ".17g")
+    return _csv_cell(_plain(value))
 
 
 def _emit_csv(header: list[str], rows: list[list]) -> None:
@@ -150,14 +157,26 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
     _echo("\n".join(lines))
 
 
+def _rational(value: Fraction) -> str:
+    """Exact "num/den" text, as str() gives it, at any length: Decimal
+    renders an int without the interpreter's 4300-digit limit."""
+    num, den = (str(decimal.Decimal(i)) for i in (value.numerator, value.denominator))
+    return num if den == "1" else f"{num}/{den}"
+
+
+# _fmt_prob renders a rational only when both its terms are below this;
+# a longer one cannot fit its 40 characters.
+_SHORT_TERM = 10**40
+
+
 def _fmt_prob(value) -> str:
     """Human-readable probability: short rationals verbatim, else decimal."""
-    if isinstance(value, Fraction):
-        text = str(value)
+    decimal_text = f"{float(value):.6g}"
+    if isinstance(value, Fraction) and max(value.numerator, value.denominator) < _SHORT_TERM:
+        text = _rational(value)
         if len(text) <= 40:
-            return f"{text} (~{float(value):.6g})"
-        value = float(value)
-    return f"{value:.6g}"
+            return f"{text} (~{decimal_text})"
+    return decimal_text
 
 
 def _resolve_churn(n, alpha, cap_c, c_rate, delta):
@@ -255,17 +274,10 @@ def prob(n, q, alpha, cap_c, c_rate, delta, mode, as_json):
     result = miss_probability(n, alpha, q, mode=mode)
     epsilon = result.epsilon
     if as_json:
-        record = {
-            "n": n,
-            "q": q,
-            "alpha": alpha,
-            "C": float(ratio),
-            "mode": result.mode,
-            "epsilon": float(epsilon),
-            "p": float(1 - epsilon),
-        }
+        record = {"n": n, "q": q, "alpha": alpha, "C": ratio, "mode": result.mode,
+                  "epsilon": epsilon, "p": 1 - epsilon}
         if result.mode == "exact":
-            record["epsilon_rational"] = str(epsilon)
+            record["epsilon_rational"] = _rational(epsilon)
         else:
             # eps = 0 has ln(eps) = -inf, which strict JSON cannot carry.
             log_eps = result.log_epsilon
@@ -296,18 +308,8 @@ def size(n, epsilon, p, alpha, cap_c, c_rate, delta, mode, as_json):
     alpha, ratio, _ = _resolve_churn(n, alpha, cap_c, c_rate, delta)
     result = min_core_size(n, alpha, target, mode=mode)
     if as_json:
-        record = {
-            "n": n,
-            "alpha": alpha,
-            "C": float(ratio),
-            "epsilon_max": float(target),
-            "q": result.q,
-            "epsilon": float(result.epsilon),
-            "epsilon_prev": None
-            if result.epsilon_prev is None
-            else float(result.epsilon_prev),
-        }
-        _emit_json(record)
+        _emit_json({"n": n, "alpha": alpha, "C": ratio, "epsilon_max": target,
+                    **dataclasses.asdict(result)})
         return
     _echo(f"q = {result.q}")
     _echo(f"epsilon({result.q}) = {_fmt_prob(result.epsilon)}")
@@ -339,15 +341,7 @@ def lifetime(c, budget, n, q, epsilon, p, horizon, mode, as_json):
             )
         result = delta_for_churn(c, budget)
         if as_json:
-            _emit_json(
-                {
-                    "c": float(c),
-                    "C_max": float(budget),
-                    "delta": result.delta,
-                    "ratio": result.ratio,
-                    "ratio_next": result.ratio_next,
-                }
-            )
+            _emit_json({"c": c, "C_max": budget, **dataclasses.asdict(result)})
             return
         _echo(f"delta = {result.delta}")
         _echo(f"C({result.delta}) = {result.ratio:.6g}")
@@ -359,20 +353,8 @@ def lifetime(c, budget, n, q, epsilon, p, horizon, mode, as_json):
     kwargs = {} if horizon is None else {"horizon": horizon}
     result = max_delta(n, q, c, target, mode=mode or "auto", **kwargs)
     if as_json:
-        _emit_json(
-            {
-                "n": n,
-                "q": q,
-                "c": float(c),
-                "epsilon_max": float(target),
-                "delta": result.delta,
-                "epsilon": float(result.epsilon),
-                "epsilon_next": None
-                if result.epsilon_next is None
-                else float(result.epsilon_next),
-                "capped": result.capped,
-            }
-        )
+        _emit_json({"n": n, "q": q, "c": c, "epsilon_max": target,
+                    **dataclasses.asdict(result)})
         return
     _echo(f"delta = {result.delta}")
     _echo(f"epsilon({result.delta}) = {_fmt_prob(result.epsilon)}")
@@ -395,7 +377,7 @@ def churn(ratio, delta, as_json):
     """
     c = churn_rate_for(ratio, delta)
     if as_json:
-        _emit_json({"C": float(ratio), "delta": delta, "c": c})
+        _emit_json({"C": ratio, "delta": delta, "c": c})
         return
     _echo(f"c = {c:.6g}")
 
@@ -425,25 +407,21 @@ def table(n_list, p_list, c_list, mode, as_csv, as_json):
     rows = []
     for n in n_values:
         for p_tok in p_tokens:
-            target = 1 - RATIO(p_tok)
+            target = _resolve_target(None, RATIO(p_tok))
             for c_tok in c_tokens:
-                alpha = replaced_count(n, RATIO_OR_STATIC(c_tok))
+                alpha, _, _ = _resolve_churn(n, None, RATIO_OR_STATIC(c_tok), None, None)
                 result = min_core_size(n, alpha, target, mode=mode)
-                rows.append([n, p_tok, c_tok, result.q, float(result.epsilon)])
+                rows.append([n, p_tok, c_tok, result.q, result.epsilon])
+    header = ["n", "p", "C", "q", "epsilon"]
     if as_json:
-        _emit_json(
-            [
-                {"n": r[0], "p": r[1], "C": r[2], "q": r[3], "epsilon": r[4]}
-                for r in rows
-            ]
-        )
+        _emit_json([dict(zip(header, row)) for row in rows])
         return
     if as_csv:
-        _emit_csv(["n", "p", "C", "q", "epsilon"], rows)
+        _emit_csv(header, rows)
         return
-    _echo(f"{'n':>8} {'p':>8} {'C':>8} {'q':>8}  epsilon")
-    for n, p_tok, c_tok, q, eps in rows:
-        _echo(f"{n:>8} {p_tok:>8} {c_tok:>8} {q:>8}  {eps:.6g}")
+    _echo("".join(f"{h:>8} " for h in header[:-1]) + " epsilon")
+    for *cells, eps in rows:
+        _echo("".join(f"{c:>8} " for c in cells) + f" {float(eps):.6g}")
 
 
 def _sweep_points(variable, start, stop, step, values):
@@ -518,8 +496,7 @@ def sweep(variable, start, stop, step, values, n, q_fixed, alpha, cap_c, c_rate,
         else:
             q = flags["q"]
             eps = miss_probability(n, a, q, mode=mode).epsilon
-        swept = value if isinstance(value, int) else float(value)
-        rows.append([swept, float(ratio), a, q, float(eps), float(1 - eps)])
+        rows.append([value, ratio, a, q, eps, 1 - eps])
     header = ["variable", "C", "alpha", "q", "epsilon", "p"]
     if as_json:
         _emit_json([dict(zip(header, row)) for row in rows])

@@ -1,5 +1,6 @@
 """Tests for the command-line surface: parsing, formats, exit codes."""
 
+import decimal
 import gc
 import io
 import json
@@ -9,11 +10,14 @@ import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from coreprobe import churn_ratio, miss_probability, min_core_size
-from coreprobe.cli import MAX_SWEEP_POINTS, main, parse_ratio
+from coreprobe.cli import (
+    MAX_SWEEP_POINTS, _csv_cell, _emit_json, _fmt_prob, _rational, main, parse_ratio,
+)
 
 
 @pytest.fixture()
@@ -71,6 +75,17 @@ class TestProb:
         assert record["epsilon"] == 0.68
         assert record["p"] == 0.32  # float(1 - 17/25), not 1.0 - 0.68
         assert record["alpha"] == 3
+
+    def test_rational_beyond_the_int_string_limit(self, runner):
+        # Terms over Python's 4300-digit int-to-str limit are still written exactly.
+        result = invoke(runner, "prob", "--n", "200000", "--q", "1145", "--C", "30%",
+                        "--mode", "exact", "--json")
+        assert result.exit_code == 0, result.output
+        record = json.loads(result.output)
+        num, den = (int(decimal.Decimal(t)) for t in record["epsilon_rational"].split("/"))
+        assert len(record["epsilon_rational"]) > 2 * 4300
+        assert Fraction(num, den) == miss_probability(200_000, 60_000, 1145, "exact").epsilon
+        assert float(Fraction(num, den)) == record["epsilon"]
 
     def test_json_logspace_carries_log_epsilon(self, runner):
         result = invoke(
@@ -175,6 +190,14 @@ class TestSize:
         assert lines[0] == "q = 79"
         assert lines[1].startswith("epsilon(79) = ")
         assert lines[2].startswith("epsilon(78) = ")
+
+    def test_witnesses_beyond_the_int_string_limit(self, runner):
+        result = invoke(runner, "size", "--n", "200000", "--p", "99%", "--C", "30%",
+                        "--mode", "exact")
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines() == [
+            "q = 1145", "epsilon(1145) = 0.00998111", "epsilon(1144) = 0.0100619",
+        ]
 
     def test_epsilon_and_p_are_equivalent(self, runner):
         via_p = invoke(runner, "size", "--n", "200", "--p", "99%", "--C", "10%", "--json")
@@ -320,8 +343,11 @@ class TestTable:
 
     def test_text_mode_has_aligned_header(self, runner):
         result = invoke(runner, "table", "--n", "100", "--p", "99%", "--C", "static")
-        header = result.output.splitlines()[0].split()
-        assert header == ["n", "p", "C", "q", "epsilon"]
+        assert result.exit_code == 0, result.output
+        header, row = result.output.splitlines()
+        assert header == f"{'n':>8} {'p':>8} {'C':>8} {'q':>8}  epsilon"
+        want = min_core_size(100, 0, Fraction(1, 100))
+        assert row == f"{100:>8} {'99%':>8} {'static':>8} {want.q:>8}  {float(want.epsilon):.6g}"
 
 
 class TestSweep:
@@ -621,6 +647,67 @@ class TestExitCodes:
         assert result.exit_code == 3
         assert result.stderr.startswith("infeasible: ")
         assert result.stdout == ""
+
+
+class TestExactTextMode:
+    # Exact-mode values are Fractions, which take no format spec before
+    # Python 3.12: every text form must still print them and exit 0.
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("prob", "--n", "1000", "--q", "79", "--C", "30%"),
+            ("size", "--n", "1000", "--p", "99%", "--C", "30%"),
+            ("lifetime", "--c", "0.1%", "--C", "30%"),
+            ("lifetime", "--c", "0.1%", "--n", "1000", "--q", "100", "--p", "99%"),
+            ("churn", "--C", "30%", "--delta", "100"),
+            ("table", "--n", "1000,2000", "--p", "99%", "--C", "static,30%"),
+            ("sweep", "q", "--start", "70", "--stop", "72", "--n", "1000", "--C", "30%"),
+            ("sweep", "C", "--values", "static,1/3", "--n", "1000", "--q", "79"),
+            ("simulate", "--n", "1000", "--q", "79", "--alpha", "300", "--trials", "2000"),
+        ],
+    )
+    def test_exits_0(self, runner, args):
+        result = invoke(runner, *args)
+        assert result.exit_code == 0, result.output
+        assert result.output.strip()
+
+
+class TestOutputRules:
+    @pytest.mark.parametrize(
+        "value", [Fraction(1, 3), Fraction(17, 25), Fraction(0), Fraction(1), Fraction(2, 7) ** 90]
+    )
+    def test_fraction_is_written_as_its_float(self, value, capsys):
+        _emit_json({"x": value})
+        assert capsys.readouterr().out == '{\n  "x": ' + json.dumps(float(value)) + "\n}\n"
+        assert _csv_cell(value) == format(float(value), ".17g")
+
+    def test_other_unknown_types_raise(self):
+        with pytest.raises(TypeError):
+            _emit_json({"x": np.int64(1)})
+        with pytest.raises(TypeError):
+            _csv_cell(np.int64(1))
+
+    @pytest.mark.parametrize(
+        "value", [Fraction(0), Fraction(1), Fraction(17, 25), Fraction(-3, 7), Fraction(2, 7) ** 90]
+    )
+    def test_rational_matches_str(self, value):
+        assert _rational(value) == str(value)
+
+    def test_rational_has_no_length_limit(self):
+        assert _rational(Fraction(10**5000 + 1, 7)) == "1" + "0" * 4999 + "1/7"
+
+    @pytest.mark.parametrize(
+        "value, verbatim",
+        [
+            (Fraction(1, 10**37), True),  # 40 characters
+            (Fraction(1, 10**38), False),
+            (Fraction(10**40 - 1), True),
+            (Fraction(10**40), False),
+        ],
+    )
+    def test_fmt_prob_prints_rationals_up_to_40_characters(self, value, verbatim):
+        text = _fmt_prob(value)
+        assert text == (f"{value} (~{float(value):.6g})" if verbatim else f"{float(value):.6g}")
 
 
 class TestHelp:

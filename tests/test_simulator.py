@@ -775,7 +775,8 @@ class TestBoundedMemory:
     def test_largest_population_runs_in_a_2_gib_address_space(self):
         # n = 10^9 - 1 is the largest n numpy's hypergeometric sampler
         # takes.  The urn run draws its batch and probe as survivor
-        # counts; the churn run marks a repeated group slot by slot.
+        # counts; the churn run draws the survivor count after its
+        # repeated group of five batches from that group's exact law.
         child = _run_capped(
             """
             base = dict(n=10**9 - 1, q=50, trials=64)
