@@ -23,23 +23,22 @@ of S after all of them is built once per run by stepping the
 hypergeometric rows of that chain, and each trial draws S from it with
 one inverse-CDF lookup.  Every other batch, and the probe, is one
 hypergeometric draw per trial; numpy's sampler bounds the population,
-hence n < 10^9.  Memory per block is O(block), plus O(q) for the law
-and a fixed budget of values for building it, independent of n and of
-delta.  Only the law is computed; the misses are simulated, and no
-closed form for the miss probability is consulted.
+hence n < 10^9.  Memory per block is O(16384) values at any n and any
+delta, plus O(q) for the law and a fixed budget of values for building
+it.  Only the law is computed; the misses are simulated, and no closed
+form for the miss probability is consulted.
 
-Determinism contract: trials are partitioned into fixed-size blocks and
-block b draws from ``SeedSequence(entropy=seed, spawn_key=(b,))``; block
-size depends only on n.  Aggregation is integer summation over blocks.
-Identical (seed, config) therefore produce identical reports no matter
-how many worker threads run the blocks.
+Determinism contract: block b holds trials [16384*b, 16384*(b+1)), the
+last block the rest, and draws from
+``SeedSequence(entropy=seed, spawn_key=(b,))``.  Aggregation is integer
+summation over blocks.  Identical (seed, config) therefore produce
+identical reports no matter how many worker threads run the blocks.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,6 +48,7 @@ import numpy as np
 
 from .persistence import (
     _check_int,
+    _check_urn,
     churn_ratio,
     miss_probability,
     replaced_count,
@@ -69,11 +69,10 @@ Model = Literal["urn", "churn_process"]
 # Two-sided 99% standard normal quantile, for the Wilson interval.
 _Z99 = 2.5758293035489004
 
-# Block size is a pure function of n, so reports do not depend on the
-# machine: 16384 trials up to n = 1024, then 2^24 / n down to 64.
-_BLOCK_ELEMENTS = 1 << 24
-_MIN_BLOCK = 64
-_MAX_BLOCK = 16384
+# Trials per block, at any n.  ``draw_subsets`` holds an n-wide mask per
+# row, so it alone caps its rows at _MASK_ELEMENTS // n.
+_BLOCK = 16384
+_MASK_ELEMENTS = 1 << 24
 
 # Per-call budget of float64 values for building the survivor law.
 _CALL_ELEMENTS = 1 << 22
@@ -91,7 +90,7 @@ class TrialConfig:
 
     ``alpha`` is required by the urn model; ``c`` and ``delta`` by the
     churn process.  ``fractional_churn`` switches the churn process from
-    a constant ceil(c*n) replacements per unit to an accumulator that
+    a constant ceil(c*n) replacements per unit to a schedule that
     replaces c*n on average (for sensitivity checks at sub-integer
     rates).
     """
@@ -108,15 +107,13 @@ class TrialConfig:
 
     def __post_init__(self) -> None:
         n = _check_int("n", self.n)
-        q = _check_int("q", self.q)
-        trials = _check_int("trials", self.trials)
         if not 1 <= n < 10**9:
             raise ValueError(
                 f"n must lie in [1, 10^9), numpy's bound on hypergeometric "
                 f"populations, got {n}"
             )
-        if not 0 <= q <= n:
-            raise ValueError(f"q must lie in [0, n={n}], got {q}")
+        _check_urn(n, self.q, self.alpha or 0)
+        trials = _check_int("trials", self.trials)
         if trials < 1:
             raise ValueError(f"trials must be >= 1, got {trials}")
         seed = _check_int("seed", self.seed)
@@ -125,9 +122,6 @@ class TrialConfig:
         if self.model == "urn":
             if self.alpha is None:
                 raise ValueError("urn model requires alpha")
-            alpha = _check_int("alpha", self.alpha)
-            if not 0 <= alpha <= n:
-                raise ValueError(f"alpha must lie in [0, n={n}], got {alpha}")
             if self.c is not None or self.delta is not None:
                 raise ValueError("urn model takes alpha, not (c, delta)")
             if self.fractional_churn:
@@ -135,11 +129,7 @@ class TrialConfig:
         elif self.model == "churn_process":
             if self.c is None or self.delta is None:
                 raise ValueError("churn_process model requires c and delta")
-            if not 0 <= self.c < 1:
-                raise ValueError(f"c must lie in [0, 1), got {self.c}")
-            delta = _check_int("delta", self.delta)
-            if delta < 0:
-                raise ValueError(f"delta must be >= 0, got {delta}")
+            churn_ratio(self.c, self.delta)
             if self.alpha is not None:
                 raise ValueError("churn_process model takes (c, delta), not alpha")
         else:
@@ -202,10 +192,6 @@ def wilson_interval(
     return low, high
 
 
-def _block_size(n: int) -> int:
-    return max(_MIN_BLOCK, min(_MAX_BLOCK, _BLOCK_ELEMENTS // n))
-
-
 def _block_rng(seed: int, block: int) -> np.random.Generator:
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(block,))
@@ -233,9 +219,11 @@ def _floyd_subsets(rng: np.random.Generator, size: int, n: int, k: int) -> np.nd
 def draw_subsets(n: int, k: int, count: int, seed: int = 0) -> np.ndarray:
     """``count`` independent uniform k-subsets of range(n), shape (count, k).
 
-    Each row lists its subset in ascending order.  Uses the same
-    block/substream scheme as the trial runners, so it is deterministic
-    in (n, k, count, seed).  Each block holds a (block, n) bool mask.
+    Each row lists its subset in ascending order.  Block b draws from
+    the trial runners' substream b, so the output is deterministic in
+    (n, k, count, seed).  Each block holds a (rows, n) bool mask, with
+    rows = max(1, min(16384, 2^24 // n)): at most 16 MiB, or one row
+    when n is larger.
     """
     n = _check_int("n", n)
     k = _check_int("k", k)
@@ -247,7 +235,7 @@ def draw_subsets(n: int, k: int, count: int, seed: int = 0) -> np.ndarray:
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     out = np.empty((count, k), dtype=np.int32)
-    block = _block_size(n)
+    block = max(1, min(_BLOCK, _MASK_ELEMENTS // n))
     for b, start in enumerate(range(0, count, block)):
         size = min(block, count - start)
         out[start : start + size] = _floyd_subsets(_block_rng(seed, b), size, n, k)
@@ -259,23 +247,21 @@ def _replacement_units(config: TrialConfig) -> list[tuple[int, int]]:
 
     The urn model is a single batch of alpha.  The churn process has one
     batch per time unit, grouped by size since batches are independent:
-    by default the constant ceil(c*n); in fractional mode the carry of
-    the non-integer remainder makes units replace c*n on average.
+    by default the constant ceil(c*n).  In fractional mode unit t
+    replaces floor(t*rate) - floor((t-1)*rate) nodes, where rate is the
+    float c*n read as an exact rational: c*n on average, floor(delta*rate)
+    in all.  Each unit replaces floor(rate) or one more, so the two
+    groups are counted in O(1) for any delta.
     """
     if config.model == "urn":
         return [(config.alpha, 1)]
     n, c, delta = config.n, config.c, config.delta
     if not config.fractional_churn:
         return [(math.ceil(c * n), delta)] if delta else []
-    counts: Counter[int] = Counter()
-    carry = 0.0
-    rate = float(c) * n
-    for _ in range(delta):
-        x = carry + rate
-        r = math.floor(x)
-        carry = x - r
-        counts[r] += 1
-    return sorted(counts.items())
+    rate = Fraction(float(c) * n)
+    low = math.floor(rate)
+    ups = math.floor(delta * rate) - delta * low
+    return [(r, count) for r, count in ((low, delta - ups), (low + 1, ups)) if count]
 
 
 def _batch_rows(n: int, r: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -388,9 +374,9 @@ def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
     units = _replacement_units(config)
     groups = [(r, count) for r, count in units if count > 1 and r]
     cdf = np.cumsum(_survivor_law(config.n, config.q, groups)) if groups else None
-    block = _block_size(config.n)
     t = config.trials
-    blocks = [(b, min(block, t - start)) for b, start in enumerate(range(0, t, block))]
+    starts = range(0, t, _BLOCK)
+    blocks = [(b, min(_BLOCK, t - start)) for b, start in enumerate(starts)]
 
     def outcome(b_size):
         return _block_outcome(config, units, cdf, *b_size)

@@ -31,7 +31,6 @@ from coreprobe import (
 from coreprobe import simulator
 from coreprobe.simulator import (
     _block_rng,
-    _block_size,
     _replacement_units,
     _survivor_law,
 )
@@ -367,11 +366,30 @@ class TestReferenceSampler:
 
 
 class TestDeterminism:
-    def test_block_size_depends_only_on_n(self):
-        assert _block_size(1) == 16384
-        assert _block_size(10**6) == 64
-        assert _block_size(2**10) == 16384
-        assert _block_size(2**20) == 64
+    def test_blocks_hold_16384_trials_at_any_n(self, monkeypatch):
+        # 2 * 16384 + 1 trials at n = 10^6 run blocks of 16384, 16384
+        # and 1, and block b replays from substream b: its survivor
+        # count after the batch and its probe, drawn here in that order.
+        n, q, trials = 10**6, 2000, 2 * 16384 + 1
+        cfg = _churn(n, q, 0.3, 1, trials, seed=3)
+        calls = []
+        block_outcome = simulator._block_outcome
+
+        def recording(config, units, cdf, block, size):
+            calls.append((block, size, block_outcome(config, units, cdf, block, size)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(simulator, "_block_outcome", recording)
+        report = run_trials(cfg)
+        assert [(b, size) for b, size, _ in calls] == [(0, 16384), (1, 16384), (2, 1)]
+        rng = _block_rng(3, 0)
+        start = np.full(16384, q, dtype=np.int64)
+        drawn = start - rng.hypergeometric(start, n - start, 300_000)
+        found = rng.hypergeometric(drawn, n - drawn, q)
+        misses = int(np.count_nonzero(found == 0))
+        assert calls[0][2] == (misses, int(drawn.sum()), int((drawn**2).sum()))
+        assert report.misses == sum(outcome[0] for _, _, outcome in calls)
+        assert report.survivor_mean == sum(outcome[1] for _, _, outcome in calls) / trials
 
     def test_thread_count_does_not_change_the_report(self):
         # 40k trials at n=50 span multiple blocks; integer aggregation
@@ -415,7 +433,7 @@ class TestDeterminism:
 
         monkeypatch.setattr(simulator, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        cfg = _urn(10**6, 10, 1000, blocks * _block_size(10**6))
+        cfg = _urn(10**6, 10, 1000, blocks * 16384)
         report = run_trials(cfg, threads=10**6)
         assert sizes == pools
         assert report == run_trials(cfg, threads=1)
@@ -577,6 +595,7 @@ class TestChurnProcess:
             (1000, 0.003, 100),
             (7, 1 / 3, 30),
             (997, Fraction(1, 7), 25),
+            (997, Fraction(1, 7), 10**5),
             (50, 0.0, 12),
             (50, 0.2, 0),
         ],
@@ -587,6 +606,28 @@ class TestChurnProcess:
         cfg = _churn(n, 1, c, delta, 1, fractional=fractional)
         schedule = replacement_schedule_reference(n, c, delta, fractional)
         assert _replacement_units(cfg) == sorted(Counter(schedule).items())
+
+    def test_fractional_units_take_constant_time_in_delta(self):
+        # Unit t replaces floor(t*rate) - floor((t-1)*rate), rate = c*n
+        # taken exactly, so delta = 10^12 units are counted, not walked.
+        n, c, delta = 997, Fraction(1, 7), 10**12
+        cfg = _churn(n, 1, c, delta, 1, fractional=True)
+        start = time.perf_counter()
+        units = _replacement_units(cfg)
+        assert time.perf_counter() - start < 0.01
+        rate = Fraction(float(c) * n)
+        assert [r for r, _ in units] == [142, 143]
+        assert sum(count for _, count in units) == delta
+        assert sum(r * count for r, count in units) == math.floor(delta * rate)
+
+    def test_fractional_units_count_the_rate_exactly(self):
+        # c*n = 0.1: ten units replace floor(10 * 0.1...) = 1 node, as the
+        # float 0.1 lies just above 1/10.  The float carry in
+        # replacement_schedule_reference sums ten 0.1s to
+        # 0.9999999999999999 and replaces none.
+        cfg = _churn(10, 3, 0.01, 10, 1, fractional=True)
+        assert _replacement_units(cfg) == [(0, 9), (1, 1)]
+        assert replacement_schedule_reference(10, 0.01, 10, True) == [0] * 10
 
     def test_constant_units_memory_does_not_grow_with_delta(self):
         cfg = _churn(1000, 79, 1e-6, 10**8, 1)
@@ -785,6 +826,20 @@ class TestBoundedMemory:
                 dict(model="churn_process", c=1e-6, delta=5),
             ):
                 assert run_trials(TrialConfig(**form, **base)).trials == 64
+            """
+        )
+        assert child.returncode == 0, child.stderr
+
+    def test_huge_n_subsets_run_in_a_2_gib_address_space(self):
+        # draw_subsets holds an n-wide mask per row, so at n = 10^8 it
+        # draws one row per block; 64 rows at once would need 6 GiB.
+        child = _run_capped(
+            """
+            from coreprobe import draw_subsets
+            rows = draw_subsets(10**8, 5, 64)
+            assert rows.shape == (64, 5)
+            assert (rows >= 0).all() and (rows < 10**8).all()
+            assert (rows[:, 1:] > rows[:, :-1]).all()
             """
         )
         assert child.returncode == 0, child.stderr
