@@ -17,16 +17,15 @@ of them no batch has replaced.  A batch of r replaces
 ``hypergeometric(S, n - S, q)``; the trial misses when that is 0.  This
 is exact because the replaced set is invariant under permutations of
 the core slots, so given S the survivors are a uniform S-subset, and
-batches are independent, so their order does not matter.  Batches that
-repeat (the churn schedule's groups) are not drawn one by one: the law
-of S after all of them is built once per run by stepping the
-hypergeometric rows of that chain, and each trial draws S from it with
-one inverse-CDF lookup.  Every other batch, and the probe, is one
-hypergeometric draw per trial; numpy's sampler bounds the population,
-hence n < 10^9.  Memory per block is O(16384) values at any n and any
-delta, plus O(q) for the law and a fixed budget of values for building
-it.  Only the law is computed; the misses are simulated, and no closed
-form for the miss probability is consulted.
+batches are independent, so their order does not matter.  So in both
+models the law of S after every batch is built once per run, by
+stepping the hypergeometric rows of that chain, and each trial draws S
+from it with one inverse-CDF lookup; the probe is one hypergeometric
+draw per trial, and numpy's sampler bounds its population, hence
+n < 10^9.  Memory per block is O(16384) values at any n, q and delta,
+plus the law's window of nonzero mass and a fixed budget of values for
+building it.  Only the law is computed; the misses are simulated, and
+no closed form for the miss probability is consulted.
 
 Determinism contract: block b holds trials [16384*b, 16384*(b+1)), the
 last block the rest, and draws from
@@ -248,40 +247,42 @@ def _replacement_units(config: TrialConfig) -> list[tuple[int, int]]:
     The urn model is a single batch of alpha.  The churn process has one
     batch per time unit, grouped by size since batches are independent:
     by default the constant ceil(c*n).  In fractional mode unit t
-    replaces floor(t*rate) - floor((t-1)*rate) nodes, where rate is the
-    float c*n read as an exact rational: c*n on average, floor(delta*rate)
-    in all.  Each unit replaces floor(rate) or one more, so the two
-    groups are counted in O(1) for any delta.
+    replaces floor(t*rate) - floor((t-1)*rate) nodes, where rate = c*n
+    taken exactly (a float c as its binary value): c*n on average,
+    floor(delta*rate) in all.  Each unit replaces floor(rate) or one
+    more, so the two groups are counted in O(1) for any delta.
     """
     if config.model == "urn":
         return [(config.alpha, 1)]
     n, c, delta = config.n, config.c, config.delta
     if not config.fractional_churn:
         return [(math.ceil(c * n), delta)] if delta else []
-    rate = Fraction(float(c) * n)
+    rate = Fraction(c) * n
     low = math.floor(rate)
     ups = math.floor(delta * rate) - delta * low
     return [(r, count) for r, count in ((low, delta - ups), (low + 1, ups)) if count]
 
 
-def _batch_rows(n: int, r: int, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _batch_rows(
+    n: int, r: int, states: np.ndarray, band: int
+) -> tuple[np.ndarray, np.ndarray]:
     """One batch of r as rows of the survivor chain, one row per S in ``states``.
 
     Returns (targets, probs) of shape (len(states), width): row S gives
     the chance C(S, k) C(n - S, r - k) / C(n, r) that the batch leaves
-    S - k survivors.  Each row is anchored at its mode
-    k = (r+1)(S+1) // (n+2), set to 1 there and stepped outward by the
-    integer ratio of neighbouring terms, then normalised; so no term
-    overflows, and only terms far below the mode can underflow.  The
-    ratio is 0 at each edge of the support, so every term past an edge
-    is 0 and its target can be clipped into [0, S].
+    S - k survivors, for k at most ``band`` from the mode
+    k = (r+1)(S+1) // (n+2).  Each row is 1 at its mode, stepped outward
+    by the integer ratio of neighbouring terms, then normalised; so no
+    term overflows.  The ratio is 0 at each edge of the support, so
+    terms past an edge are 0 and their targets are clipped into [0, S].
+    Targets fall along a row and rise with S, as S - mode never falls.
     """
     s = states[:, None]
     mode = (r + 1) * (states + 1) // (n + 2)
     # Above the mode each step multiplies by P(k+1)/P(k), below it by P(k-1)/P(k).
-    k = mode[:, None] + np.arange((np.minimum(states, r) - mode).max())
+    k = mode[:, None] + np.arange(min(band, (np.minimum(states, r) - mode).max()))
     up = np.cumprod((s - k) * (r - k) / ((k + 1) * (n - s - r + k + 1)), axis=1)
-    k = mode[:, None] - np.arange((mode - np.maximum(0, r - n + states)).max())
+    k = mode[:, None] - np.arange(min(band, (mode - np.maximum(0, r - n + states)).max()))
     down = np.cumprod(k * (n - s - r + k) / ((s - k + 1) * (r - k + 1)), axis=1)
     probs = np.hstack((down[:, ::-1], np.ones((len(states), 1)), up))
     probs /= probs.sum(axis=1, keepdims=True)
@@ -289,69 +290,72 @@ def _batch_rows(n: int, r: int, states: np.ndarray) -> tuple[np.ndarray, np.ndar
     return s - removed.clip(0, s), probs
 
 
-def _survivor_law(n: int, q: int, groups: list[tuple[int, int]]) -> np.ndarray:
-    """P(S = s) for s in 0..q after every (r, count) group, as floats.
+def _trimmed(lo: int, law: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo, law) cut down to the window from its first to its last nonzero entry."""
+    nonzero = np.flatnonzero(law)
+    return int(lo + nonzero[0]), law[nonzero[0] : nonzero[-1] + 1]
+
+
+def _survivor_law(
+    n: int, q: int, groups: list[tuple[int, int]]
+) -> tuple[int, np.ndarray]:
+    """The law of S after every (r, count) group: (lo, law), law[i] = P(S = lo + i).
 
     S starts at q, and each batch of r replaces Hyp(S, n - S, r) of the
-    S survivors.  A group is applied batch by batch, one scatter of its
-    rows each, or as a power of its (q+1)^2 transition matrix, whichever
-    the cost model says is cheaper; the power only if the matrix fits
-    ``_CALL_ELEMENTS``.  Only the states the group can reach before its
-    last batch get rows, built in chunks of at most ``_CALL_ELEMENTS``
-    values; rows are rebuilt per batch only when they need two chunks.
+    S survivors.  The law is kept on the window of its nonzero mass, so
+    a batch that removes many survivors never holds the counts it skips.
+    With m = min(S, r), P(k)/P(mode) <= (m+1) exp(-2(|k - mode| - 1)^2/m)
+    (Hoeffding 1963, Thm. 4), so terms beyond 1 + isqrt(m (746 + bitlen
+    m)) of the mode are below 2^-1075 of it; rows stop there, at
+    m = min(q, r).  A group is applied batch by batch or as a power of
+    its (q+1)^2 transition matrix, as the cost model says; the power
+    only if the matrix fits ``_CALL_ELEMENTS``.  Rows of the states the group can
+    reach before its last batch are kept if they fit that many values,
+    else each batch builds its window's rows in chunks that do.
     """
-    law = np.zeros(q + 1)
-    law[q] = 1.0
+    lo, law = q, np.ones(1)
     for r, count in groups:
-        span = min(q, r) + 1
-        states = np.arange(max(0, np.flatnonzero(law)[0] - (count - 1) * r), q + 1)
-        chunk = max(1, _CALL_ELEMENTS // (2 * span - 1))
-        parts = [states[i : i + chunk] for i in range(0, len(states), chunk)]
-        stepping = count * (len(states) * span + _CALL_COST)
+        m = min(q, r)
+        band = min(m, 1 + math.isqrt(m * (746 + m.bit_length())))
+        states = np.arange(max(0, lo - (count - 1) * r), lo + len(law))
+        chunk = max(1, _CALL_ELEMENTS // (2 * band + 1))
+        stepping = count * (len(states) * (min(m, 2 * band) + 1) + _CALL_COST)
         squaring = count.bit_length() * ((q + 1) ** 3 / _MATMUL_SPEEDUP + _CALL_COST)
         if (q + 1) ** 2 <= _CALL_ELEMENTS and squaring < stepping:
             matrix = np.zeros((q + 1, q + 1))
-            for part in parts:
-                targets, probs = _batch_rows(n, r, part)
+            for part in np.split(states, range(chunk, len(states), chunk)):
+                targets, probs = _batch_rows(n, r, part, band)
                 np.add.at(matrix, (part[:, None], targets), probs)
-            law = law @ np.linalg.matrix_power(matrix, count)
+            full = np.pad(law, (lo, q + 1 - lo - len(law)))
+            lo, law = _trimmed(0, full @ np.linalg.matrix_power(matrix, count))
             continue
-        kept = [_batch_rows(n, r, parts[0])] if len(parts) == 1 else None
+        kept = _batch_rows(n, r, states, band) if len(states) <= chunk else None
         for _ in range(count):
-            rows = kept or (_batch_rows(n, r, part) for part in parts)
-            law = sum(
-                np.bincount(
-                    targets.ravel(), (law[part, None] * probs).ravel(), minlength=q + 1
-                )
-                for part, (targets, probs) in zip(parts, rows)
-            )
-    return law
+            at, window = lo - states[0], np.arange(lo, lo + len(law))
+            rows = [(law, *(x[at : at + len(law)] for x in kept))] if kept else [
+                (law[i : i + chunk], *_batch_rows(n, r, window[i : i + chunk], band))
+                for i in range(0, len(law), chunk)
+            ]
+            base = min(t[0, -1] for _, t, _ in rows)
+            size = max(t[-1, 0] for _, t, _ in rows) - base + 1
+            lo, law = _trimmed(base, sum(np.bincount(
+                (t - base).ravel(), (w[:, None] * p).ravel(), size) for w, t, p in rows))
+    return lo, law
 
 
 def _block_outcome(
-    config: TrialConfig,
-    units: list[tuple[int, int]],
-    cdf: np.ndarray | None,
-    block: int,
-    size: int,
+    config: TrialConfig, lo: int, cdf: np.ndarray, block: int, size: int
 ) -> tuple[int, int, int]:
     """Misses, survivor sum and survivor sum of squares over one block.
 
     A trial carries S, its count of core slots no batch has replaced.
-    S after the repeated batch groups is one inverse-CDF draw from
-    their law, whose ``cdf`` is None when no group replaces anything;
-    each single batch then replaces a hypergeometric number of the S
-    survivors, and the trial misses when its probe hits none of them.
+    S is one inverse-CDF draw from its law after every batch, whose
+    ``cdf`` starts at count ``lo``; the trial misses when its probe
+    hits none of the S survivors.
     """
     rng = _block_rng(config.seed, block)
     n, q = config.n, config.q
-    if cdf is None:
-        survivors = np.full(size, q, dtype=np.int64)
-    else:
-        survivors = cdf.searchsorted(rng.random(size) * cdf[-1], side="right")
-    for r, count in units:
-        if count == 1:
-            survivors -= rng.hypergeometric(survivors, n - survivors, r)
+    survivors = lo + cdf.searchsorted(rng.random(size) * cdf[-1], side="right")
     found = rng.hypergeometric(survivors, n - survivors, q)
     misses = int(np.count_nonzero(found == 0))
     if size * q * q >= 2**63:
@@ -363,23 +367,23 @@ def _block_outcome(
 def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
     """Run ``config.trials`` trials of ``config.model``.
 
-    The law of the survivor count after the repeated batch groups is
-    built once, before any block.  Blocks run on up to ``threads`` worker
+    The law of the survivor count after every batch, in both models, is
+    built once before any block.  Blocks run on up to ``threads`` worker
     threads, never more than there are blocks or CPUs, and their integer
     outcomes are summed.  Survivor statistics are filled for the churn
     process only.
     """
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
-    units = _replacement_units(config)
-    groups = [(r, count) for r, count in units if count > 1 and r]
-    cdf = np.cumsum(_survivor_law(config.n, config.q, groups)) if groups else None
+    groups = [(r, count) for r, count in _replacement_units(config) if r]
+    lo, law = _survivor_law(config.n, config.q, groups)
+    cdf = np.cumsum(law)
     t = config.trials
     starts = range(0, t, _BLOCK)
     blocks = [(b, min(_BLOCK, t - start)) for b, start in enumerate(starts)]
 
     def outcome(b_size):
-        return _block_outcome(config, units, cdf, *b_size)
+        return _block_outcome(config, lo, cdf, *b_size)
 
     workers = min(threads, len(blocks), os.cpu_count() or 1)
     if workers == 1:

@@ -369,22 +369,24 @@ class TestDeterminism:
     def test_blocks_hold_16384_trials_at_any_n(self, monkeypatch):
         # 2 * 16384 + 1 trials at n = 10^6 run blocks of 16384, 16384
         # and 1, and block b replays from substream b: its survivor
-        # count after the batch and its probe, drawn here in that order.
+        # count after the batch, one inverse-CDF draw from the law, and
+        # its probe, drawn here in that order.
         n, q, trials = 10**6, 2000, 2 * 16384 + 1
         cfg = _churn(n, q, 0.3, 1, trials, seed=3)
         calls = []
         block_outcome = simulator._block_outcome
 
-        def recording(config, units, cdf, block, size):
-            calls.append((block, size, block_outcome(config, units, cdf, block, size)))
+        def recording(config, lo, cdf, block, size):
+            calls.append((block, size, block_outcome(config, lo, cdf, block, size)))
             return calls[-1][2]
 
         monkeypatch.setattr(simulator, "_block_outcome", recording)
         report = run_trials(cfg)
         assert [(b, size) for b, size, _ in calls] == [(0, 16384), (1, 16384), (2, 1)]
         rng = _block_rng(3, 0)
-        start = np.full(16384, q, dtype=np.int64)
-        drawn = start - rng.hypergeometric(start, n - start, 300_000)
+        lo, law = _survivor_law(n, q, [(300_000, 1)])
+        cdf = np.cumsum(law)
+        drawn = lo + cdf.searchsorted(rng.random(16384) * cdf[-1], side="right")
         found = rng.hypergeometric(drawn, n - drawn, q)
         misses = int(np.count_nonzero(found == 0))
         assert calls[0][2] == (misses, int(drawn.sum()), int((drawn**2).sum()))
@@ -444,7 +446,7 @@ class TestUrnModel:
     # a change in block layout or sampling order would shift them.
     def test_matches_exact_probability_6_2_3(self):
         report = run_trials(_urn(6, 2, 3, 10**6))
-        assert report.misses == 679_856
+        assert report.misses == 680_256
         assert report.epsilon_hat == report.misses / 10**6
         exact = miss_probability(6, 3, 2).epsilon
         assert exact == Fraction(17, 25)
@@ -458,7 +460,7 @@ class TestUrnModel:
     def test_matches_exact_probability_10_4_5(self):
         report = run_trials(_urn(10, 4, 5, 200_000))
         exact = float(miss_probability(10, 5, 4).epsilon)
-        assert report.misses == 73_461
+        assert report.misses == 73_174
         assert report.ci_low <= exact <= report.ci_high
 
     def test_certain_miss_and_certain_hit(self):
@@ -526,10 +528,9 @@ class TestChurnProcess:
         assert report.ci_low <= exact <= report.ci_high
 
     def test_single_batch_in_a_fractional_schedule(self):
-        # c*n = 2.5 over 3 units: batches of 2, 3, 2.  The pair of 2s is
-        # drawn from its survivor law, the lone batch of 3 as a
-        # hypergeometric count; the survivor mean must sit within 4
-        # standard errors of q * prod_t (1 - r_t/n).
+        # c*n = 2.5 over 3 units: batches of 2, 3, 2.  The pair of 2s and
+        # the lone batch of 3 both enter the survivor law; the survivor
+        # mean must sit within 4 standard errors of q * prod_t (1 - r_t/n).
         cfg = _churn(20, 10, 0.125, 3, 100_000, fractional=True)
         assert _replacement_units(cfg) == [(2, 2), (3, 1)]
         report = run_trials(cfg)
@@ -564,13 +565,16 @@ class TestChurnProcess:
     ):
         # delta = 1 at n = 10^9 - 1: 64 survivor counts near 10^9, whose
         # squares sum past 2^63.  The report must give the exact mean and
-        # sample standard deviation of the block's draws, replayed here.
+        # sample standard deviation of the block's inverse-CDF draws from
+        # the law after the batch, replayed here.
         n = 10**9 - 1
         cfg = _churn(n, q, c, 1, 64)
         assert _replacement_units(cfg) == [(r, 1)]
-        start = np.full(64, q, dtype=np.int64)
-        hits = _block_rng(cfg.seed, 0).hypergeometric(start, n - start, r)
-        drawn = (start - hits).tolist()
+        lo, law = _survivor_law(n, q, [(r, 1)])
+        cdf = np.cumsum(law)
+        u = _block_rng(cfg.seed, 0).random(64)
+        drawn = (lo + cdf.searchsorted(u * cdf[-1], side="right")).tolist()
+        assert sum(s * s for s in drawn) >= 2**63
         report = run_trials(cfg)
         assert report.survivor_mean == sum(drawn) / 64
         assert report.survivor_stddev == pytest.approx(
@@ -615,7 +619,7 @@ class TestChurnProcess:
         start = time.perf_counter()
         units = _replacement_units(cfg)
         assert time.perf_counter() - start < 0.01
-        rate = Fraction(float(c) * n)
+        rate = Fraction(c) * n
         assert [r for r, _ in units] == [142, 143]
         assert sum(count for _, count in units) == delta
         assert sum(r * count for r, count in units) == math.floor(delta * rate)
@@ -628,6 +632,23 @@ class TestChurnProcess:
         cfg = _churn(10, 3, 0.01, 10, 1, fractional=True)
         assert _replacement_units(cfg) == [(0, 9), (1, 1)]
         assert replacement_schedule_reference(10, 0.01, 10, True) == [0] * 10
+
+    @pytest.mark.parametrize(
+        "n, c, delta, units",
+        [
+            (10_000, Fraction(15, 100_000), 200, [(1, 100), (2, 100)]),
+            (1000, Fraction(123, 100_000), 10**5, [(1, 77_000), (2, 23_000)]),
+        ],
+    )
+    def test_fractional_units_replace_an_integer_total_exactly(
+        self, n, c, delta, units
+    ):
+        # The CLI's --c 0.015% and --c 0.123%: c*n*delta is an integer
+        # (300 and 123,000), and every node of it is replaced; c*n taken
+        # through a float replaced 299 and 122,999.
+        cfg = _churn(n, 3, c, delta, 1, fractional=True)
+        assert _replacement_units(cfg) == units
+        assert sum(r * count for r, count in units) == c * n * delta
 
     def test_constant_units_memory_does_not_grow_with_delta(self):
         cfg = _churn(1000, 79, 1e-6, 10**8, 1)
@@ -671,7 +692,10 @@ class TestSurvivorLaw:
                 for count in range(1, 5):
                     exact = survivor_law_reference(n, q, [r] * count)
                     want = np.array([float(p) for p in exact])
-                    got = _survivor_law(n, q, [(r, count)])
+                    lo, law = _survivor_law(n, q, [(r, count)])
+                    assert law[0] > 0 and law[-1] > 0
+                    got = np.zeros(q + 1)
+                    got[lo : lo + len(law)] = law
                     assert (abs(got - want) <= 1e-12 * want).all(), (q, r, count)
 
     @pytest.mark.parametrize(
@@ -687,16 +711,71 @@ class TestSurvivorLaw:
     )
     def test_mass_and_moments_are_exact(self, n, q, c, delta, fractional):
         units = _replacement_units(_churn(n, q, c, delta, 1, fractional=fractional))
-        assert all(count > 1 for _, count in units)
-        law = _survivor_law(n, q, units)
+        lo, law = _survivor_law(n, q, units)
         assert np.isfinite(law).all() and (law >= 0).all()
-        s = np.arange(q + 1)
+        s = lo + np.arange(len(law))
         batches = [r for r, count in units for _ in range(count)]
         mean, variance = _survivor_moments(n, q, batches)
         pairs = variance + mean**2 - mean
         assert law.sum() == pytest.approx(1.0, rel=1e-12)
         assert (law * s).sum() == pytest.approx(float(mean), rel=1e-12)
         assert (law * s * (s - 1)).sum() == pytest.approx(float(pairs), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "n, q, groups, widest",
+        [
+            (1000, 79, [(3, 100)], 80),  # the mc-churn benchmark cell
+            (20, 10, [(2, 2), (3, 1)], 11),  # a fractional schedule's single
+            # One batch removes about 150,000 of 500,000 survivors.
+            (10**6, 5 * 10**5, [(3 * 10**5, 1)], 5 * 10**4),
+        ],
+    )
+    def test_law_is_kept_on_its_nonzero_window(self, n, q, groups, widest):
+        # law[i] = P(S = lo + i) from the first to the last nonzero
+        # count: a batch never holds the counts it skips.
+        lo, law = _survivor_law(n, q, groups)
+        assert law[0] > 0 and law[-1] > 0
+        assert 0 <= lo and lo + len(law) <= q + 1 and len(law) <= widest
+        survive = math.prod(1 - Fraction(r, n) for r, count in groups
+                            for _ in range(count))
+        mean = (law * (lo + np.arange(len(law)))).sum()
+        assert mean == pytest.approx(float(q * survive), rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "n, s, r", [(3000, 1500, 1500), (20_000, 2000, 2000), (8000, 4000, 4000)]
+    )
+    def test_rows_drop_only_terms_below_the_float_range(self, n, s, r):
+        # With m = min(S, r), Hoeffding (1963, Thm. 4) gives
+        # P(k)/P(mode) <= (m+1) exp(-2(|k - mode| - 1)^2 / m) for k off
+        # the mode, so every term at least 2 + isqrt(m (746 + bitlen m))
+        # from the mode is below 2^-1075 of the mode's: a row may drop it.
+        # Checked here on the exact integer terms, and the law after one
+        # batch matches them wherever they are normal floats.
+        m = min(s, r)
+        mode = (r + 1) * (s + 1) // (n + 2)
+        low = max(0, r - n + s)
+        terms = [math.comb(s, low) * math.comb(n - s, r - low)]
+        for k in range(low, m):  # C(s, k) C(n - s, r - k), exactly
+            terms.append(terms[-1] * (s - k) * (r - k) // ((k + 1) * (n - s - r + k + 1)))
+        peak = terms[mode - low]
+        assert peak == max(terms)
+        band = 2 + math.isqrt(m * (746 + m.bit_length()))
+        for k, term in enumerate(terms, start=low):
+            d = abs(k - mode)
+            if d:
+                bound = math.log(m + 1) - 2 * (d - 1) ** 2 / m
+                assert math.log(term) - math.log(peak) <= bound + 1e-9
+            if d >= band:
+                assert term * 2**1075 < peak
+        lo, law = _survivor_law(n, s, [(r, 1)])
+        total = sum(terms)
+        for k, term in enumerate(terms, start=low):
+            exact = term / total
+            got = law[s - k - lo] if 0 <= s - k - lo < len(law) else 0.0
+            if exact >= 2**-1022:
+                assert got == pytest.approx(exact, rel=1e-10)
+            else:
+                assert got <= 2**-1020
 
     @pytest.mark.parametrize("q, at", [(6, 0), (6, 3), (6, 6)])
     def test_a_certain_count_is_always_drawn(self, q, at):
@@ -705,7 +784,7 @@ class TestSurvivorLaw:
         law = np.zeros(q + 1)
         law[at] = 1.0
         cfg = _churn(1000, q, 0.003, 2, 16384)
-        _, total, squares = simulator._block_outcome(cfg, [], np.cumsum(law), 0, 16384)
+        _, total, squares = simulator._block_outcome(cfg, 0, np.cumsum(law), 0, 16384)
         assert (total, squares) == (at * 16384, at * at * 16384)
 
     @pytest.mark.parametrize(
@@ -716,12 +795,12 @@ class TestSurvivorLaw:
         # The block's draws, replayed: each S has positive probability,
         # and the block reports exactly their sums.
         cfg = _churn(n, q, c, delta, 16384)
-        law = _survivor_law(n, q, _replacement_units(cfg))
+        lo, law = _survivor_law(n, q, _replacement_units(cfg))
         cdf = np.cumsum(law)
         u = _block_rng(cfg.seed, 0).random(16384)
-        drawn = np.searchsorted(cdf, u * cdf[-1], side="right")
-        assert (law[drawn] > 0).all()
-        _, total, squares = simulator._block_outcome(cfg, [], cdf, 0, 16384)
+        drawn = lo + np.searchsorted(cdf, u * cdf[-1], side="right")
+        assert (law[drawn - lo] > 0).all()
+        _, total, squares = simulator._block_outcome(cfg, lo, cdf, 0, 16384)
         assert (total, squares) == (int(drawn.sum()), int((drawn**2).sum()))
 
 
@@ -826,6 +905,23 @@ class TestBoundedMemory:
                 dict(model="churn_process", c=1e-6, delta=5),
             ):
                 assert run_trials(TrialConfig(**form, **base)).trials == 64
+            """
+        )
+        assert child.returncode == 0, child.stderr
+
+    @pytest.mark.parametrize(
+        "form",
+        ['dict(model="urn", alpha=3 * 10**8)', 'dict(model="churn_process", c=1e-6, delta=5)'],
+        ids=["urn", "churn"],
+    )
+    def test_huge_core_runs_in_a_2_gib_address_space(self, form):
+        # q near 10^9: the law is held only on its window of nonzero mass
+        # and each row only within its float-underflow band, so neither
+        # a (q+1) vector nor a row of alpha = 3*10^8 terms is built.
+        child = _run_capped(
+            f"""
+            base = dict(n=10**9 - 1, q=998_000_000, trials=64)
+            assert run_trials(TrialConfig(**{form}, **base)).trials == 64
             """
         )
         assert child.returncode == 0, child.stderr
