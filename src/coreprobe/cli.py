@@ -521,9 +521,11 @@ def simulate(n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
 
     The urn model takes --alpha or --C (one replacement batch); the
     churn_process model takes --c and --delta (per-unit replacement of
-    ceil(c*n) nodes).  Reports are deterministic in (--seed, config)
-    regardless of --threads.  Ratios accept '30%' or '0.3' (kept
-    exact); --C also accepts 'static'.  alpha = ceil(C*n).
+    ceil(c*n) nodes).  The urn is z-tested against the closed form at
+    alpha, the churn process against its own exact miss probability.
+    Reports are deterministic in (--seed, config) regardless of
+    --threads.  Ratios accept '30%' or '0.3' (kept exact); --C also
+    accepts 'static'.  alpha = ceil(C*n).
     """
     alpha, _, rate = _resolve_churn(n, alpha, cap_c, c_rate, delta)
     model = "urn" if rate is None else "churn_process"
@@ -542,7 +544,7 @@ def simulate(n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
     if as_json:
         # The record is the comparison's fields, the report's flattened in.
         record = dataclasses.asdict(cmp)
-        record.update(record.pop("report"), model=model, n=n, q=q, seed=seed)
+        record.update(record.pop("report"), model=model, n=n, q=q, alpha=alpha, seed=seed)
         _emit_json(record)
     else:
         _echo(f"model = {model}  trials = {report.trials}  seed = {seed}")
@@ -554,7 +556,8 @@ def simulate(n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
                 f"core survivors: mean = {report.survivor_mean:.6g}"
                 f"  stddev = {report.survivor_stddev:.6g}"
             )
-        _echo(f"alpha (analytic) = {cmp.alpha}")
+        if rate is None:
+            _echo(f"alpha (analytic) = {alpha}")
         _echo(f"epsilon_analytic = {cmp.epsilon_analytic:.6g}")
         _echo("z = undefined" if cmp.z_score is None else f"z = {cmp.z_score:.4g}")
     if check and cmp.flagged:

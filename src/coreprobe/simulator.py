@@ -25,7 +25,11 @@ draw per trial, and numpy's sampler bounds its population, hence
 n < 10^9.  Memory per block is O(16384) values at any n, q and delta,
 plus the law's window of nonzero mass and a fixed budget of values for
 building it.  Only the law is computed; the misses are simulated, and
-no closed form for the miss probability is consulted.
+no closed form for the miss probability is consulted.  The churn
+process's exact reference, against which ``compare_with_analytic``
+z-tests its runs, sums the chance m(s) that a probe avoids s survivors
+over that same law: the reference shares only the law with the draws,
+never m(s), which the draws leave to the hypergeometric probe.
 
 Determinism contract: block b holds trials [16384*b, 16384*(b+1)), the
 last block the rest, and draws from
@@ -36,6 +40,7 @@ identical reports no matter how many worker threads run the blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -49,8 +54,8 @@ from .persistence import (
     _check_int,
     _check_urn,
     churn_ratio,
+    ln_binomial,
     miss_probability,
-    replaced_count,
 )
 
 __all__ = [
@@ -156,15 +161,16 @@ class TrialReport:
 
 @dataclass(frozen=True)
 class AnalyticComparison:
-    """Empirical estimate side by side with the closed-form value.
+    """Empirical estimate side by side with the model's exact value.
 
+    ``epsilon_analytic`` is the closed form at alpha for the urn model
+    and the process's own exact miss probability for the churn process.
     ``z_score`` is None when it is undefined: the analytic value is 0
     or 1, so its standard error is 0, yet the estimate differs.  Such a
     run is flagged.
     """
 
     report: TrialReport
-    alpha: int
     epsilon_analytic: float
     z_score: float | None
     flagged: bool  # |z| > 3, or z undefined
@@ -245,9 +251,9 @@ def _replacement_units(config: TrialConfig) -> list[tuple[int, int]]:
     """(nodes replaced in one batch, number of such batches), ascending.
 
     The urn model is a single batch of alpha.  The churn process has one
-    batch per time unit, grouped by size since batches are independent:
-    by default the constant ceil(c*n).  In fractional mode unit t
-    replaces floor(t*rate) - floor((t-1)*rate) nodes, where rate = c*n
+    batch per time unit, grouped by size since batches are independent.
+    Unit t replaces floor(t*rate) - floor((t-1)*rate) nodes, where rate
+    is the constant ceil(c*n) by default; in fractional mode it is c*n
     taken exactly (a float c as its binary value): c*n on average,
     floor(delta*rate) in all.  Each unit replaces floor(rate) or one
     more, so the two groups are counted in O(1) for any delta.
@@ -255,9 +261,7 @@ def _replacement_units(config: TrialConfig) -> list[tuple[int, int]]:
     if config.model == "urn":
         return [(config.alpha, 1)]
     n, c, delta = config.n, config.c, config.delta
-    if not config.fractional_churn:
-        return [(math.ceil(c * n), delta)] if delta else []
-    rate = Fraction(c) * n
+    rate = Fraction(c) * n if config.fractional_churn else math.ceil(c * n)
     low = math.floor(rate)
     ups = math.floor(delta * rate) - delta * low
     return [(r, count) for r, count in ((low, delta - ups), (low + 1, ups)) if count]
@@ -343,6 +347,31 @@ def _survivor_law(
     return lo, law
 
 
+@functools.lru_cache(maxsize=1)
+def _law(config: TrialConfig) -> tuple[int, np.ndarray]:
+    """``_survivor_law`` of the config's batches, cached for the last config
+    so that one comparison builds it once; callers must not write to it."""
+    groups = [(r, count) for r, count in _replacement_units(config) if r]
+    return _survivor_law(config.n, config.q, groups)
+
+
+def _process_miss_probability(config: TrialConfig) -> float:
+    """Exact miss probability of the churn process, from its survivor law.
+
+    eps = sum_i law[i] m(lo + i), where m(s) = C(n - s, q) / C(n, q) is
+    the chance that a probe of q avoids s survivors.  ln m starts from
+    ``ln_binomial`` at s = lo and steps by ln(1 - q/(n - s)); m = 0 past
+    s = n - q, where every probe hits a survivor.  The sum is divided by
+    the law's float mass, as the draws are, so eps never exceeds 1.
+    """
+    n, q = config.n, config.q
+    lo, law = _law(config)
+    live = law[: max(0, n - q - lo + 1)]
+    steps = np.log1p(-q / (n - np.arange(lo, lo + len(live) - 1)))
+    ln_m = ln_binomial(n - lo, q) - ln_binomial(n, q) + np.cumsum(np.r_[0.0, steps])
+    return math.fsum(live * np.exp(ln_m)) / math.fsum(law)
+
+
 def _block_outcome(
     config: TrialConfig, lo: int, cdf: np.ndarray, block: int, size: int
 ) -> tuple[int, int, int]:
@@ -375,8 +404,7 @@ def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
     """
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
-    groups = [(r, count) for r, count in _replacement_units(config) if r]
-    lo, law = _survivor_law(config.n, config.q, groups)
+    lo, law = _law(config)
     cdf = np.cumsum(law)
     t = config.trials
     starts = range(0, t, _BLOCK)
@@ -411,20 +439,20 @@ def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
 def compare_with_analytic(
     config: TrialConfig, threads: int = 1
 ) -> AnalyticComparison:
-    """Run the configured simulation and z-test it against the closed form.
+    """Run the configured simulation and z-test it against its exact value.
 
-    The standard error uses the analytic value (the null hypothesis).
-    For the churn process the analytic side goes through the derived
-    replacement count, so the z-score quantifies the gap introduced by
-    treating the survivor decay as deterministic; it is reported, not
-    asserted.
+    The urn model is tested against the closed form ``miss_probability``
+    at its alpha.  The churn process is tested against the exact miss
+    probability of the process itself, summed over the survivor law the
+    trials draw from, so a correct run of either model is flagged only
+    by chance.  The standard error uses the analytic value (the null
+    hypothesis).
     """
     report = run_trials(config, threads)
     if config.model == "urn":
-        alpha = config.alpha
+        eps = float(miss_probability(config.n, config.alpha, config.q).epsilon)
     else:
-        alpha = replaced_count(config.n, churn_ratio(config.c, config.delta))
-    eps = float(miss_probability(config.n, alpha, config.q).epsilon)
+        eps = _process_miss_probability(config)
     se = math.sqrt(eps * (1.0 - eps) / config.trials)
     diff = report.epsilon_hat - eps
     if se == 0.0:
@@ -433,7 +461,6 @@ def compare_with_analytic(
         z = diff / se
     return AnalyticComparison(
         report=report,
-        alpha=alpha,
         epsilon_analytic=eps,
         z_score=z,
         flagged=z is None or abs(z) > 3.0,

@@ -10,11 +10,13 @@ search.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
 from .persistence import (
+    MissProbability,
     Mode,
     RatioLike,
     _check_int,
@@ -90,6 +92,17 @@ def _ln(x: Probability) -> float:
     return math.log(x)
 
 
+def _meets(result: MissProbability, target: Probability) -> bool:
+    """Whether the miss probability in ``result`` is at most ``target``.
+
+    Below 2^-1022 a logspace float has lost digits to underflow, down to
+    0.0, so there its exact log decides; elsewhere the float does.
+    """
+    if result.log_epsilon is not None and result.epsilon < sys.float_info.min:
+        return result.log_epsilon <= _ln(target)
+    return result.epsilon <= target
+
+
 def _first_true(pred: Callable[[int], bool], guess: int, lo: int, hi: float) -> int:
     """Smallest x in (lo, hi] where the monotone ``pred`` turns true.
 
@@ -143,16 +156,16 @@ def min_core_size(
             f"no core size q <= n={n} reaches epsilon <= {epsilon_max} "
             f"at alpha={alpha}"
         )
-    memo: dict[int, Probability] = {}
+    memo: dict[int, MissProbability] = {}
 
-    def eps(q: int) -> Probability:
+    def eps(q: int) -> MissProbability:
         if q not in memo:
-            memo[q] = miss_probability(n, alpha, q, mode).epsilon
+            memo[q] = miss_probability(n, alpha, q, mode)
         return memo[q]
 
     seed = min(max(round(n * math.sqrt(-_ln(epsilon_max) / (n - alpha))), 1), n)
-    q = _first_true(lambda q: eps(q) <= epsilon_max, seed, 0, n)
-    return CoreSizeResult(q=q, epsilon=eps(q), epsilon_prev=eps(q - 1))
+    q = _first_true(lambda q: _meets(eps(q), epsilon_max), seed, 0, n)
+    return CoreSizeResult(q=q, epsilon=eps(q).epsilon, epsilon_prev=eps(q - 1).epsilon)
 
 
 def delta_for_churn(c: RatioLike, ratio_max: RatioLike) -> LifetimeResult:
@@ -242,39 +255,42 @@ def max_delta(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    memo: dict[int, Probability] = {}
+    memo: dict[int, MissProbability] = {}
 
-    def eps(alpha: int) -> Probability:
+    def eps(alpha: int) -> MissProbability:
         if alpha not in memo:
-            memo[alpha] = miss_probability(n, alpha, q, mode).epsilon
+            memo[alpha] = miss_probability(n, alpha, q, mode)
         return memo[alpha]
+
+    def meets(alpha: int) -> bool:
+        return _meets(eps(alpha), epsilon_max)
 
     def replaced(delta: int) -> int:
         return replaced_count(n, churn_ratio(c, delta))
 
-    if eps(replaced(0)) > epsilon_max:
+    if not meets(replaced(0)):
         raise InfeasibleError(
             f"even a static system (delta=0) exceeds epsilon={epsilon_max} "
             f"at n={n}, q={q}"
         )
     # eps(n) = 1 misses every target, so it bounds the search unevaluated.
     alpha_top = replaced(horizon)
-    if alpha_top < n and eps(alpha_top) <= epsilon_max:
+    if alpha_top < n and meets(alpha_top):
         return MaxDeltaResult(
-            delta=horizon, epsilon=eps(alpha_top), epsilon_next=None, capped=True
+            delta=horizon, epsilon=eps(alpha_top).epsilon, epsilon_next=None, capped=True
         )
     # Seed alpha where the mean survivor count s = q (n - alpha) / n
     # gives (1 - s/n)^q = epsilon_max, and delta where the churn ratio
     # reaches alpha_max / n.
     seed = round(n + n * n * math.expm1(_ln(epsilon_max) / q) / q)
     guess = min(max(seed, 1), alpha_top)
-    alpha_max = _first_true(lambda a: eps(a) > epsilon_max, guess, 0, alpha_top) - 1
+    alpha_max = _first_true(lambda a: not meets(a), guess, 0, alpha_top) - 1
     seed = math.log1p(-alpha_max / n) / math.log1p(-float(c))
     guess = int(min(seed + 1, horizon))
     over = _first_true(lambda d: replaced(d) > alpha_max, guess, 0, horizon)
     return MaxDeltaResult(
         delta=over - 1,
-        epsilon=eps(replaced(over - 1)),
-        epsilon_next=eps(replaced(over)),
+        epsilon=eps(replaced(over - 1)).epsilon,
+        epsilon_next=eps(replaced(over)).epsilon,
         capped=False,
     )

@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from coreprobe import churn_ratio, miss_probability, min_core_size
+from coreprobe import (
+    MissProbability, churn_ratio, miss_probability, min_core_size, replaced_count,
+)
 from coreprobe.cli import (
     MAX_SWEEP_POINTS, _csv_cell, _emit_json, _fmt_prob, _rational, main, parse_ratio,
 )
@@ -198,6 +200,17 @@ class TestSize:
         assert result.output.splitlines() == [
             "q = 1145", "epsilon(1145) = 0.00998111", "epsilon(1144) = 0.0100619",
         ]
+
+    def test_target_below_the_float_range(self, runner):
+        # Logspace floats underflow to 0.0 below 10^-323, so ln eps must
+        # decide: comparing the floats answered q = 2888.
+        result = invoke(runner, "size", "--n", "10000", "--alpha", "3000",
+                        "--epsilon", "1e-400", "--json")
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["q"] == 3164
+        target = Fraction(1, 10**400)
+        assert miss_probability(10000, 3000, 3164, "exact").epsilon <= target
+        assert miss_probability(10000, 3000, 3163, "exact").epsilon > target
 
     def test_epsilon_and_p_are_equivalent(self, runner):
         via_p = invoke(runner, "size", "--n", "200", "--p", "99%", "--C", "10%", "--json")
@@ -518,6 +531,15 @@ class TestSimulate:
         )
         assert json.loads(result.output)["alpha"] == 0
 
+    def test_churn_alpha_comes_from_cumulative_ratio(self, runner):
+        # A churn record echoes the scenario's alpha = ceil(C*n), as prob
+        # does, though its run is tested against the process itself.
+        args = ["--n", "100", "--q", "10", "--c", "2%", "--delta", "9", "--json"]
+        record = json.loads(invoke(runner, "simulate", *args, "--trials", "100").output)
+        alpha = replaced_count(100, churn_ratio(Fraction(1, 50), 9))
+        assert record["alpha"] == json.loads(invoke(runner, "prob", *args).output)["alpha"]
+        assert record["alpha"] == alpha == 17
+
     def test_deterministic_across_invocations_and_threads(self, runner):
         args = ["simulate", "--n", "50", "--q", "10", "--c", "1%", "--delta", "5",
                 "--trials", "40000", "--seed", "7", "--json"]
@@ -529,27 +551,46 @@ class TestSimulate:
         assert reseeded.output != first.output
 
     def test_check_flag_exits_4_on_model_gap(self, runner):
-        # ceil(c*n) = 1 replacement per unit vs a cumulative alpha of 5:
-        # a real gap the z-test must flag.  It is about 7.4 standard
-        # errors at 10^5 trials (3.3 at 2 * 10^4, too close to 3 to show).
-        args = ["simulate", "--n", "100", "--q", "5", "--c", "0.005",
-                "--delta", "10", "--trials", "100000"]
-        assert invoke(runner, *args).exit_code == 0
-        flagged = invoke(runner, *args, "--check")
-        assert flagged.exit_code == 4
-        assert "z-check failed" in flagged.output
+        # ceil(c*n) = 1 replacement per unit is twice the rate behind the
+        # cumulative alpha = 5 that prob reports: the process misses with
+        # 0.789959, prob's urn value is 0.780198, about 7.4 standard
+        # errors apart at 10^5 trials.  simulate tests the run against
+        # the process, so --check passes; against prob's value it fails.
+        churn = ["--n", "100", "--q", "5", "--c", "0.005", "--delta", "10"]
+        args = ["simulate", *churn, "--trials", "100000"]
+        record = json.loads(invoke(runner, *args, "--json").output)
+        urn = json.loads(invoke(runner, "prob", *churn, "--json").output)
+        assert record["alpha"] == urn["alpha"] == 5
+        assert record["epsilon_analytic"] == pytest.approx(0.789959, abs=5e-7)
+        assert urn["epsilon"] == pytest.approx(0.780198, abs=5e-7)
+        se = (urn["epsilon"] * (1 - urn["epsilon"]) / record["trials"]) ** 0.5
+        assert (record["epsilon_hat"] - urn["epsilon"]) / se > 3
+        assert record["flagged"] is False
+        checked = invoke(runner, *args, "--check")
+        assert checked.exit_code == 0
+        assert "z-check failed" not in checked.output
 
     def test_check_flag_passes_clean_runs(self, runner):
         args = ["simulate", "--n", "6", "--q", "2", "--alpha", "3",
                 "--trials", "50000", "--check"]
         assert invoke(runner, *args).exit_code == 0
 
-    def test_undefined_z_is_null_in_strict_json(self, runner):
-        # Two single replacements leave epsilon_analytic = 0 while the
-        # process can still miss, so the analytic standard error is 0
-        # and z is undefined: null in JSON, flagged, exit 4 under --check.
-        args = ["simulate", "--n", "10", "--q", "6", "--c", "0.05",
-                "--delta", "2", "--trials", "200000"]
+    def test_undefined_z_is_null_in_strict_json(self, runner, monkeypatch):
+        # After two single replacements the process can still miss, and
+        # its exact value says so: z is defined.
+        churn = ["simulate", "--n", "10", "--q", "6", "--c", "0.05",
+                 "--delta", "2", "--trials", "200000", "--json"]
+        record = json.loads(invoke(runner, *churn).output)
+        assert record["epsilon_analytic"] > 0 and record["z_score"] is not None
+        # An analytic value of 0 where the estimate is not has standard
+        # error 0, so z is undefined: null in JSON, flagged, exit 4
+        # under --check.
+        monkeypatch.setattr(
+            "coreprobe.simulator.miss_probability",
+            lambda n, alpha, q: MissProbability(Fraction(0), "exact"),
+        )
+        args = ["simulate", "--n", "10", "--q", "6", "--alpha", "2",
+                "--trials", "200000"]
         result = invoke(runner, *args, "--json")
         assert result.exit_code == 0
 

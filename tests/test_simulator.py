@@ -807,7 +807,6 @@ class TestSurvivorLaw:
 class TestCompareWithAnalytic:
     def test_urn_agrees_with_closed_form(self):
         cmp = compare_with_analytic(_urn(6, 2, 3, 10**6))
-        assert cmp.alpha == 3
         assert cmp.epsilon_analytic == 0.68
         assert abs(cmp.z_score) < 3
         assert not cmp.flagged
@@ -819,21 +818,77 @@ class TestCompareWithAnalytic:
     def test_urn_battery_agrees_with_closed_form(self, n, q, alpha):
         # z reads -0.54, -0.90, -0.92 and -0.99 at seed 0.
         cmp = compare_with_analytic(_urn(n, q, alpha, 10**5))
-        assert cmp.alpha == alpha
         assert cmp.epsilon_analytic == float(miss_probability(n, alpha, q).epsilon)
         assert not cmp.flagged
 
-    def test_churn_alpha_comes_from_cumulative_ratio(self):
-        cfg = _churn(100, 10, 0.02, 9, 100)
-        cmp = compare_with_analytic(cfg)
-        assert cmp.alpha == replaced_count(100, churn_ratio(0.02, 9))
-
     def test_single_churn_unit_agrees_with_closed_form(self):
         # delta = 1 is one batch of ceil(c*n): the urn experiment, so the
-        # closed form is exact for it.
+        # process's exact value is the closed form at alpha = 300.
         cmp = compare_with_analytic(_churn(1000, 79, 0.3, 1, 10**5))
-        assert cmp.alpha == 300
+        urn = float(miss_probability(1000, 300, 79).epsilon)
+        assert cmp.epsilon_analytic == pytest.approx(urn, rel=1e-12, abs=0)
         assert not cmp.flagged
+
+    # (n, q, c, delta, batches, fractional): the CI cell, where ceil(c*n)
+    # = 1 doubles the rate; the mc-churn benchmark cell; two cells where
+    # batches swap core slots only; criterion 8's cell, where the probe
+    # covers every node; and a fractional schedule of 0s and 1s.
+    _PROCESS_CELLS = [
+        (100, 5, 0.005, 10, [1] * 10, False),
+        (1000, 79, 0.003, 100, [3] * 100, False),
+        (40, 25, 0.1, 5, [4] * 5, False),
+        (1000, 600, 0.01, 50, [10] * 50, False),
+        (1000, 1000, 0.01, 50, [10] * 50, False),
+        (200, 20, 0.0025, 40, [0, 1] * 20, True),
+    ]
+
+    @pytest.mark.parametrize("n, q, c, delta, batches, fractional", _PROCESS_CELLS)
+    def test_churn_reference_is_the_exact_process_value(
+        self, n, q, c, delta, batches, fractional
+    ):
+        cfg = _churn(n, q, c, delta, 1, fractional=fractional)
+        assert _replacement_units(cfg) == sorted(Counter(batches).items())
+        exact = churn_miss_probability_reference(n, q, batches)
+        got = compare_with_analytic(cfg).epsilon_analytic
+        assert got == pytest.approx(float(exact), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "n, q, c, delta, fractional",
+        [
+            (100, 5, 0.005, 10, False),
+            (1000, 79, 0.003, 100, False),
+            (1000, 1000, 0.01, 50, False),
+            (200, 20, 0.0025, 40, True),
+        ],
+    )
+    def test_churn_battery_agrees_with_the_process(self, n, q, c, delta, fractional):
+        # z reads -0.64, -0.26, 0.00 (nothing misses) and 0.07 at seed 0.
+        cmp = compare_with_analytic(_churn(n, q, c, delta, 10**5, 0, fractional))
+        assert cmp.z_score is not None and abs(cmp.z_score) <= 3
+        assert not cmp.flagged
+
+    def test_churn_reference_stays_a_probability(self):
+        # 10^7 fractional units replace every core slot: the law is all
+        # at S = 0, but its float mass is 1 + 5e-14, and a reference
+        # above 1 made the standard error's square root fail.
+        cfg = _churn(1000, 79, Fraction(1, 400), 10**7, 256, fractional=True)
+        assert math.fsum(simulator._law(cfg)[1]) > 1
+        cmp = compare_with_analytic(cfg)
+        assert cmp.epsilon_analytic == 1.0 and cmp.z_score == 0.0
+
+    def test_one_comparison_builds_the_law_once(self, monkeypatch):
+        # run_trials draws from the law and the process reference sums
+        # over it: one build serves both.
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return _survivor_law(*args)
+
+        monkeypatch.setattr(simulator, "_survivor_law", counted)
+        simulator._law.cache_clear()
+        compare_with_analytic(_churn(1000, 79, 0.003, 100, 1000))
+        assert calls == [(1000, 79, [(3, 100)])]
 
     def test_zero_variance_edges_score_zero(self):
         # Analytic epsilon 0 (probe everything) or 1 (replace everything)
@@ -847,18 +902,21 @@ class TestCompareWithAnalytic:
 
     def test_flags_ceiling_versus_cumulative_gap(self):
         # At c*n = 0.5 the per-unit ceiling replaces ~2x the nodes the
-        # cumulative-ratio alpha accounts for, a real modelling gap the
-        # z-test is meant to surface.  The process misses with 0.789959,
-        # the urn at alpha = 5 with 0.780198: about 7.4 standard errors
-        # apart at 10^5 trials (3.3 at 2 * 10^4, too close to 3 to show).
+        # cumulative-ratio alpha = ceil(C*n) = 5 accounts for, a real
+        # modelling gap: the process misses with 0.789959, the urn at
+        # alpha = 5 with 0.780198, about 7.4 standard errors apart at
+        # 10^5 trials.  The run is tested against the process, so it is
+        # not flagged; against the urn value it would be.
         cmp = compare_with_analytic(_churn(100, 5, 0.005, 10, 100_000))
-        exact = float(churn_miss_probability_reference(100, 5, [1] * 10))
-        assert exact == pytest.approx(0.789959, abs=5e-7)
-        assert cmp.epsilon_analytic == pytest.approx(0.780198, abs=5e-7)
-        assert cmp.report.ci_low <= exact <= cmp.report.ci_high
-        assert cmp.report.epsilon_hat > cmp.epsilon_analytic
-        assert cmp.z_score > 3
-        assert cmp.flagged
+        alpha = replaced_count(100, churn_ratio(0.005, 10))
+        urn = float(miss_probability(100, alpha, 5).epsilon)
+        assert alpha == 5 and urn == pytest.approx(0.780198, abs=5e-7)
+        assert cmp.epsilon_analytic == pytest.approx(0.789959, abs=5e-7)
+        se = math.sqrt(urn * (1 - urn) / cmp.report.trials)
+        assert (cmp.epsilon_analytic - urn) / se > 7
+        assert cmp.report.ci_low <= cmp.epsilon_analytic <= cmp.report.ci_high
+        assert (cmp.report.epsilon_hat - urn) / se > 3
+        assert not cmp.flagged
 
 
 def _run_capped(body):

@@ -167,6 +167,16 @@ class TestMinCoreSize:
         logspace = min_core_size(800, 240, 1e-3, mode="logspace")
         assert exact.q == logspace.q == 86
 
+    @pytest.mark.parametrize(
+        "target, want", [(Fraction(1, 10**330), 1419), (Fraction(1, 10**400), 1518)]
+    )
+    def test_modes_agree_below_the_float_range(self, target, want):
+        # Every logspace float near the answer underflows to 0.0, so only
+        # ln eps can decide; comparing the floats answered 1409 at both.
+        exact = min_core_size(3000, 900, target, mode="exact")
+        logspace = min_core_size(3000, 900, target, mode="logspace")
+        assert exact.q == logspace.q == want
+
     def test_rejects_non_integer_inputs(self):
         with pytest.raises((TypeError, ValueError)):
             min_core_size(100.5, 10, Fraction(1, 10))
@@ -467,6 +477,12 @@ class TestMaxDelta:
                                 (got.delta + 1, got.epsilon_next)):
             alpha = replaced_count(1000, churn_ratio(1e-3, delta))
             assert miss_probability(1000, alpha, 79).epsilon == expected
+
+    def test_modes_agree_below_the_float_range(self):
+        # The logspace floats underflow to 0.0; comparing them answered 472.
+        args = (3000, 1500, Fraction(1, 1000), Fraction(1, 10**400))
+        exact = max_delta(*args, mode="exact")
+        assert exact.delta == max_delta(*args, mode="logspace").delta == 335
 
     def test_ten_thousand_node_anchor(self):
         got = max_delta(10000, 274, 1e-3, Fraction(1, 1000))
