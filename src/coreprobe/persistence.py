@@ -14,15 +14,24 @@ with a = max(0, alpha-n+q), b = min(alpha, q), k0 = max(a, 2q-n) (terms
 below k0 vanish).  The summand factors as (k of the q core members were
 replaced, hypergeometric) times (all q probes avoid the q-k survivors,
 C(n+k-q, q) / C(n, q)).  Every lower binomial index is at most q.
+
+The churn process instead replaces ceil(c*n) nodes, or c*n on average,
+in each of delta batches.  ``_process_miss_probability`` sums the probe
+term C(n-s, q) / C(n, q) over the law of the s core members no batch
+replaced, built by ``_survivor_law``; the simulator draws from the same
+law, cached per batch schedule: one module holds both exact values.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Union
+
+import numpy as np
 
 __all__ = [
     "binomial_exact",
@@ -40,6 +49,7 @@ __all__ = [
 
 Mode = Literal["exact", "logspace", "auto"]
 RatioLike = Union[int, float, Fraction]
+_Groups = tuple[tuple[int, int], ...]  # (r, count): count batches of r each
 
 # "auto" numeric mode resolves to exact big-rational arithmetic up to
 # this population size and to log-space floats above it.
@@ -53,6 +63,15 @@ _LN_RESCALE = math.log(_RESCALE)
 # above it, the two-term Stirling tail is off by under 3e-15, less than
 # half an ulp of any such ln C(m, r) (at least ln C(402, 201) > 275).
 _SERIES_MIN_K = 200
+
+# Per-call budget of float64 values for building the survivor law.
+_CALL_ELEMENTS = 1 << 22
+
+# Cost model for applying a batch group, in values scattered: one numpy
+# call costs about 3000 of them, and a matrix product does about 200
+# multiply-adds in the time of one (2 vCPUs, numpy 2.4).
+_CALL_COST = 3000
+_MATMUL_SPEEDUP = 200
 
 
 def binomial_exact(m: int, r: int) -> int:
@@ -286,3 +305,106 @@ def miss_probability(
     return MissProbability(
         epsilon=math.exp(log_eps), mode="logspace", log_epsilon=log_eps
     )
+
+
+def _batch_rows(
+    n: int, r: int, states: np.ndarray, band: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """One batch of r as rows of the survivor chain, one row per S in ``states``.
+
+    Returns (targets, probs) of shape (len(states), width): row S gives
+    the chance C(S, k) C(n - S, r - k) / C(n, r) that the batch leaves
+    S - k survivors, for k at most ``band`` from the mode
+    k = (r+1)(S+1) // (n+2).  Each row is 1 at its mode, stepped outward
+    by the integer ratio of neighbouring terms, then normalised; so no
+    term overflows.  The ratio is 0 at each edge of the support, so
+    terms past an edge are 0 and their targets are clipped into [0, S].
+    Targets fall along a row and rise with S, as S - mode never falls.
+    """
+    s = states[:, None]
+    mode = (r + 1) * (states + 1) // (n + 2)
+    # Above the mode each step multiplies by P(k+1)/P(k), below it by P(k-1)/P(k).
+    k = mode[:, None] + np.arange(min(band, (np.minimum(states, r) - mode).max()))
+    up = np.cumprod((s - k) * (r - k) / ((k + 1) * (n - s - r + k + 1)), axis=1)
+    k = mode[:, None] - np.arange(min(band, (mode - np.maximum(0, r - n + states)).max()))
+    down = np.cumprod(k * (n - s - r + k) / ((s - k + 1) * (r - k + 1)), axis=1)
+    probs = np.hstack((down[:, ::-1], np.ones((len(states), 1)), up))
+    probs /= probs.sum(axis=1, keepdims=True)
+    removed = mode[:, None] + np.arange(-down.shape[1], up.shape[1] + 1)
+    return s - removed.clip(0, s), probs
+
+
+def _trimmed(lo: int, law: np.ndarray) -> tuple[int, np.ndarray]:
+    """(lo, law) cut down to the window from its first to its last nonzero entry."""
+    nonzero = np.flatnonzero(law)
+    return int(lo + nonzero[0]), law[nonzero[0] : nonzero[-1] + 1]
+
+
+def _survivor_law(n: int, q: int, groups: _Groups) -> tuple[int, np.ndarray]:
+    """The law of S after every (r, count) group: (lo, law), law[i] = P(S = lo + i).
+
+    S starts at q, and each batch of r replaces Hyp(S, n - S, r) of the
+    S survivors.  The law is kept on the window of its nonzero mass, so
+    a batch that removes many survivors never holds the counts it skips.
+    With m = min(S, r), P(k)/P(mode) <= (m+1) exp(-2(|k - mode| - 1)^2/m)
+    (Hoeffding 1963, Thm. 4), so terms beyond 1 + isqrt(m (746 + bitlen
+    m)) of the mode are below 2^-1075 of it; rows stop there, at
+    m = min(q, r).  A group is applied batch by batch or as a power of
+    its (q+1)^2 transition matrix, as the cost model says; the power
+    only if the matrix fits ``_CALL_ELEMENTS``.  Rows of the states the group can
+    reach before its last batch are kept if they fit that many values,
+    else each batch builds its window's rows in chunks that do.
+    """
+    lo, law = q, np.ones(1)
+    for r, count in groups:
+        m = min(q, r)
+        band = min(m, 1 + math.isqrt(m * (746 + m.bit_length())))
+        states = np.arange(max(0, lo - (count - 1) * r), lo + len(law))
+        chunk = max(1, _CALL_ELEMENTS // (2 * band + 1))
+        stepping = count * (len(states) * (min(m, 2 * band) + 1) + _CALL_COST)
+        squaring = count.bit_length() * ((q + 1) ** 3 / _MATMUL_SPEEDUP + _CALL_COST)
+        if (q + 1) ** 2 <= _CALL_ELEMENTS and squaring < stepping:
+            matrix = np.zeros((q + 1, q + 1))
+            for part in np.split(states, range(chunk, len(states), chunk)):
+                targets, probs = _batch_rows(n, r, part, band)
+                np.add.at(matrix, (part[:, None], targets), probs)
+            full = np.pad(law, (lo, q + 1 - lo - len(law)))
+            lo, law = _trimmed(0, full @ np.linalg.matrix_power(matrix, count))
+            continue
+        kept = _batch_rows(n, r, states, band) if len(states) <= chunk else None
+        for _ in range(count):
+            at, window = lo - states[0], np.arange(lo, lo + len(law))
+            rows = [(law, *(x[at : at + len(law)] for x in kept))] if kept else [
+                (law[i : i + chunk], *_batch_rows(n, r, window[i : i + chunk], band))
+                for i in range(0, len(law), chunk)
+            ]
+            base = min(t[0, -1] for _, t, _ in rows)
+            size = max(t[-1, 0] for _, t, _ in rows) - base + 1
+            lo, law = _trimmed(base, sum(np.bincount(
+                (t - base).ravel(), (w[:, None] * p).ravel(), size) for w, t, p in rows))
+    return lo, law
+
+
+@functools.lru_cache(maxsize=1)
+def _law(n: int, q: int, groups: _Groups) -> tuple[int, np.ndarray]:
+    """``_survivor_law``, cached for the last batch schedule, so that runs at
+    any seed or trial count build it once; the cached law is read-only."""
+    lo, law = _survivor_law(n, q, groups)
+    law.flags.writeable = False
+    return lo, law
+
+
+def _process_miss_probability(n: int, q: int, groups: _Groups) -> float:
+    """Exact miss probability of the churn process, from its survivor law.
+
+    eps = sum_i law[i] m(lo + i), where m(s) = C(n - s, q) / C(n, q) is
+    the chance that a probe of q avoids s survivors.  ln m starts from
+    ``ln_binomial`` at s = lo and steps by ln(1 - q/(n - s)); m = 0 past
+    s = n - q, where every probe hits a survivor.  The sum is divided by
+    the law's float mass, as the draws are, so eps never exceeds 1.
+    """
+    lo, law = _law(n, q, groups)
+    live = law[: max(0, n - q - lo + 1)]
+    steps = np.log1p(-q / (n - np.arange(lo, lo + len(live) - 1)))
+    ln_m = ln_binomial(n - lo, q) - ln_binomial(n, q) + np.cumsum(np.r_[0.0, steps])
+    return math.fsum(live * np.exp(ln_m)) / math.fsum(law)

@@ -18,18 +18,16 @@ of them no batch has replaced.  A batch of r replaces
 is exact because the replaced set is invariant under permutations of
 the core slots, so given S the survivors are a uniform S-subset, and
 batches are independent, so their order does not matter.  So in both
-models the law of S after every batch is built once per run, by
-stepping the hypergeometric rows of that chain, and each trial draws S
-from it with one inverse-CDF lookup; the probe is one hypergeometric
-draw per trial, and numpy's sampler bounds its population, hence
-n < 10^9.  Memory per block is O(16384) values at any n, q and delta,
-plus the law's window of nonzero mass and a fixed budget of values for
-building it.  Only the law is computed; the misses are simulated, and
-no closed form for the miss probability is consulted.  The churn
-process's exact reference, against which ``compare_with_analytic``
-z-tests its runs, sums the chance m(s) that a probe avoids s survivors
-over that same law: the reference shares only the law with the draws,
-never m(s), which the draws leave to the hypergeometric probe.
+models each trial draws S with one inverse-CDF lookup from the exact
+law of S after every batch, which ``persistence`` builds once per batch
+schedule and keeps for runs at any seed; the probe is one
+hypergeometric draw per trial, and numpy's sampler bounds its
+population, hence n < 10^9.  Memory per block is O(16384) values at
+any n, q and delta, plus the law's window of nonzero mass.  The law and
+both exact references are imported from ``persistence``, so no closed
+form is computed here: the misses are simulated, and the churn
+reference shares only the law with the draws, never the chance m(s)
+that a probe avoids s survivors, which the draws leave to the probe.
 
 Determinism contract: block b holds trials [16384*b, 16384*(b+1)), the
 last block the rest, and draws from
@@ -40,7 +38,6 @@ identical reports no matter how many worker threads run the blocks.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -53,8 +50,9 @@ import numpy as np
 from .persistence import (
     _check_int,
     _check_urn,
+    _law,
+    _process_miss_probability,
     churn_ratio,
-    ln_binomial,
     miss_probability,
 )
 
@@ -77,15 +75,6 @@ _Z99 = 2.5758293035489004
 # row, so it alone caps its rows at _MASK_ELEMENTS // n.
 _BLOCK = 16384
 _MASK_ELEMENTS = 1 << 24
-
-# Per-call budget of float64 values for building the survivor law.
-_CALL_ELEMENTS = 1 << 22
-
-# Cost model for applying a batch group, in values scattered: one numpy
-# call costs about 3000 of them, and a matrix product does about 200
-# multiply-adds in the time of one (2 vCPUs, numpy 2.4).
-_CALL_COST = 3000
-_MATMUL_SPEEDUP = 200
 
 
 @dataclass(frozen=True)
@@ -247,8 +236,9 @@ def draw_subsets(n: int, k: int, count: int, seed: int = 0) -> np.ndarray:
     return out
 
 
-def _replacement_units(config: TrialConfig) -> list[tuple[int, int]]:
-    """(nodes replaced in one batch, number of such batches), ascending.
+def _replacement_units(config: TrialConfig) -> tuple[tuple[int, int], ...]:
+    """(nodes replaced in one batch, number of such batches), ascending,
+    for every batch that replaces a node: the key of the survivor law.
 
     The urn model is a single batch of alpha.  The churn process has one
     batch per time unit, grouped by size since batches are independent.
@@ -258,118 +248,14 @@ def _replacement_units(config: TrialConfig) -> list[tuple[int, int]]:
     floor(delta*rate) in all.  Each unit replaces floor(rate) or one
     more, so the two groups are counted in O(1) for any delta.
     """
-    if config.model == "urn":
-        return [(config.alpha, 1)]
-    n, c, delta = config.n, config.c, config.delta
-    rate = Fraction(c) * n if config.fractional_churn else math.ceil(c * n)
-    low = math.floor(rate)
-    ups = math.floor(delta * rate) - delta * low
-    return [(r, count) for r, count in ((low, delta - ups), (low + 1, ups)) if count]
-
-
-def _batch_rows(
-    n: int, r: int, states: np.ndarray, band: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """One batch of r as rows of the survivor chain, one row per S in ``states``.
-
-    Returns (targets, probs) of shape (len(states), width): row S gives
-    the chance C(S, k) C(n - S, r - k) / C(n, r) that the batch leaves
-    S - k survivors, for k at most ``band`` from the mode
-    k = (r+1)(S+1) // (n+2).  Each row is 1 at its mode, stepped outward
-    by the integer ratio of neighbouring terms, then normalised; so no
-    term overflows.  The ratio is 0 at each edge of the support, so
-    terms past an edge are 0 and their targets are clipped into [0, S].
-    Targets fall along a row and rise with S, as S - mode never falls.
-    """
-    s = states[:, None]
-    mode = (r + 1) * (states + 1) // (n + 2)
-    # Above the mode each step multiplies by P(k+1)/P(k), below it by P(k-1)/P(k).
-    k = mode[:, None] + np.arange(min(band, (np.minimum(states, r) - mode).max()))
-    up = np.cumprod((s - k) * (r - k) / ((k + 1) * (n - s - r + k + 1)), axis=1)
-    k = mode[:, None] - np.arange(min(band, (mode - np.maximum(0, r - n + states)).max()))
-    down = np.cumprod(k * (n - s - r + k) / ((s - k + 1) * (r - k + 1)), axis=1)
-    probs = np.hstack((down[:, ::-1], np.ones((len(states), 1)), up))
-    probs /= probs.sum(axis=1, keepdims=True)
-    removed = mode[:, None] + np.arange(-down.shape[1], up.shape[1] + 1)
-    return s - removed.clip(0, s), probs
-
-
-def _trimmed(lo: int, law: np.ndarray) -> tuple[int, np.ndarray]:
-    """(lo, law) cut down to the window from its first to its last nonzero entry."""
-    nonzero = np.flatnonzero(law)
-    return int(lo + nonzero[0]), law[nonzero[0] : nonzero[-1] + 1]
-
-
-def _survivor_law(
-    n: int, q: int, groups: list[tuple[int, int]]
-) -> tuple[int, np.ndarray]:
-    """The law of S after every (r, count) group: (lo, law), law[i] = P(S = lo + i).
-
-    S starts at q, and each batch of r replaces Hyp(S, n - S, r) of the
-    S survivors.  The law is kept on the window of its nonzero mass, so
-    a batch that removes many survivors never holds the counts it skips.
-    With m = min(S, r), P(k)/P(mode) <= (m+1) exp(-2(|k - mode| - 1)^2/m)
-    (Hoeffding 1963, Thm. 4), so terms beyond 1 + isqrt(m (746 + bitlen
-    m)) of the mode are below 2^-1075 of it; rows stop there, at
-    m = min(q, r).  A group is applied batch by batch or as a power of
-    its (q+1)^2 transition matrix, as the cost model says; the power
-    only if the matrix fits ``_CALL_ELEMENTS``.  Rows of the states the group can
-    reach before its last batch are kept if they fit that many values,
-    else each batch builds its window's rows in chunks that do.
-    """
-    lo, law = q, np.ones(1)
-    for r, count in groups:
-        m = min(q, r)
-        band = min(m, 1 + math.isqrt(m * (746 + m.bit_length())))
-        states = np.arange(max(0, lo - (count - 1) * r), lo + len(law))
-        chunk = max(1, _CALL_ELEMENTS // (2 * band + 1))
-        stepping = count * (len(states) * (min(m, 2 * band) + 1) + _CALL_COST)
-        squaring = count.bit_length() * ((q + 1) ** 3 / _MATMUL_SPEEDUP + _CALL_COST)
-        if (q + 1) ** 2 <= _CALL_ELEMENTS and squaring < stepping:
-            matrix = np.zeros((q + 1, q + 1))
-            for part in np.split(states, range(chunk, len(states), chunk)):
-                targets, probs = _batch_rows(n, r, part, band)
-                np.add.at(matrix, (part[:, None], targets), probs)
-            full = np.pad(law, (lo, q + 1 - lo - len(law)))
-            lo, law = _trimmed(0, full @ np.linalg.matrix_power(matrix, count))
-            continue
-        kept = _batch_rows(n, r, states, band) if len(states) <= chunk else None
-        for _ in range(count):
-            at, window = lo - states[0], np.arange(lo, lo + len(law))
-            rows = [(law, *(x[at : at + len(law)] for x in kept))] if kept else [
-                (law[i : i + chunk], *_batch_rows(n, r, window[i : i + chunk], band))
-                for i in range(0, len(law), chunk)
-            ]
-            base = min(t[0, -1] for _, t, _ in rows)
-            size = max(t[-1, 0] for _, t, _ in rows) - base + 1
-            lo, law = _trimmed(base, sum(np.bincount(
-                (t - base).ravel(), (w[:, None] * p).ravel(), size) for w, t, p in rows))
-    return lo, law
-
-
-@functools.lru_cache(maxsize=1)
-def _law(config: TrialConfig) -> tuple[int, np.ndarray]:
-    """``_survivor_law`` of the config's batches, cached for the last config
-    so that one comparison builds it once; callers must not write to it."""
-    groups = [(r, count) for r, count in _replacement_units(config) if r]
-    return _survivor_law(config.n, config.q, groups)
-
-
-def _process_miss_probability(config: TrialConfig) -> float:
-    """Exact miss probability of the churn process, from its survivor law.
-
-    eps = sum_i law[i] m(lo + i), where m(s) = C(n - s, q) / C(n, q) is
-    the chance that a probe of q avoids s survivors.  ln m starts from
-    ``ln_binomial`` at s = lo and steps by ln(1 - q/(n - s)); m = 0 past
-    s = n - q, where every probe hits a survivor.  The sum is divided by
-    the law's float mass, as the draws are, so eps never exceeds 1.
-    """
-    n, q = config.n, config.q
-    lo, law = _law(config)
-    live = law[: max(0, n - q - lo + 1)]
-    steps = np.log1p(-q / (n - np.arange(lo, lo + len(live) - 1)))
-    ln_m = ln_binomial(n - lo, q) - ln_binomial(n, q) + np.cumsum(np.r_[0.0, steps])
-    return math.fsum(live * np.exp(ln_m)) / math.fsum(law)
+    units = ((config.alpha, 1),)
+    if config.model == "churn_process":
+        n, c, delta = config.n, config.c, config.delta
+        rate = Fraction(c) * n if config.fractional_churn else math.ceil(c * n)
+        low = math.floor(rate)
+        ups = math.floor(delta * rate) - delta * low
+        units = ((low, delta - ups), (low + 1, ups))
+    return tuple((r, count) for r, count in units if r and count)
 
 
 def _block_outcome(
@@ -397,14 +283,14 @@ def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
     """Run ``config.trials`` trials of ``config.model``.
 
     The law of the survivor count after every batch, in both models, is
-    built once before any block.  Blocks run on up to ``threads`` worker
+    fetched once before any block.  Blocks run on up to ``threads`` worker
     threads, never more than there are blocks or CPUs, and their integer
     outcomes are summed.  Survivor statistics are filled for the churn
     process only.
     """
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
-    lo, law = _law(config)
+    lo, law = _law(config.n, config.q, _replacement_units(config))
     cdf = np.cumsum(law)
     t = config.trials
     starts = range(0, t, _BLOCK)
@@ -436,15 +322,13 @@ def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
     )
 
 
-def compare_with_analytic(
-    config: TrialConfig, threads: int = 1
-) -> AnalyticComparison:
+def compare_with_analytic(config: TrialConfig, threads: int = 1) -> AnalyticComparison:
     """Run the configured simulation and z-test it against its exact value.
 
     The urn model is tested against the closed form ``miss_probability``
     at its alpha.  The churn process is tested against the exact miss
-    probability of the process itself, summed over the survivor law the
-    trials draw from, so a correct run of either model is flagged only
+    probability of the process itself, summed over the one survivor law
+    the trials draw from, so a correct run of either model is flagged only
     by chance.  The standard error uses the analytic value (the null
     hypothesis).
     """
@@ -452,16 +336,10 @@ def compare_with_analytic(
     if config.model == "urn":
         eps = float(miss_probability(config.n, config.alpha, config.q).epsilon)
     else:
-        eps = _process_miss_probability(config)
+        eps = _process_miss_probability(config.n, config.q, _replacement_units(config))
     se = math.sqrt(eps * (1.0 - eps) / config.trials)
     diff = report.epsilon_hat - eps
-    if se == 0.0:
-        z = 0.0 if diff == 0.0 else None
-    else:
-        z = diff / se
+    z = diff / se if se else (0.0 if diff == 0.0 else None)
     return AnalyticComparison(
-        report=report,
-        epsilon_analytic=eps,
-        z_score=z,
-        flagged=z is None or abs(z) > 3.0,
+        report, epsilon_analytic=eps, z_score=z, flagged=z is None or abs(z) > 3.0
     )

@@ -9,6 +9,7 @@ import textwrap
 import time
 import tracemalloc
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,12 +29,9 @@ from coreprobe import (
     run_trials,
     wilson_interval,
 )
-from coreprobe import simulator
-from coreprobe.simulator import (
-    _block_rng,
-    _replacement_units,
-    _survivor_law,
-)
+from coreprobe import persistence, simulator
+from coreprobe.persistence import _survivor_law
+from coreprobe.simulator import _block_rng, _replacement_units
 from helpers import (
     _floyd_hits,
     _selection_hits,
@@ -55,6 +53,23 @@ def _churn(n, q, c, delta, trials, seed=0, fractional=False):
         n=n, q=q, trials=trials, model="churn_process", c=c, delta=delta,
         seed=seed, fractional_churn=fractional,
     )
+
+
+def _groups(batches):
+    """The survivor law's key for a per-unit schedule: (r, count), r > 0, ascending."""
+    return tuple(sorted((r, k) for r, k in Counter(batches).items() if r))
+
+
+def _spy(monkeypatch, owner, name):
+    """Patch ``owner.name`` to record the arguments of each call; return the record."""
+    calls, fn = [], getattr(owner, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return fn(*args)
+
+    monkeypatch.setattr(owner, name, recorded)
+    return calls
 
 
 class TestTrialConfig:
@@ -532,7 +547,7 @@ class TestChurnProcess:
         # the lone batch of 3 both enter the survivor law; the survivor
         # mean must sit within 4 standard errors of q * prod_t (1 - r_t/n).
         cfg = _churn(20, 10, 0.125, 3, 100_000, fractional=True)
-        assert _replacement_units(cfg) == [(2, 2), (3, 1)]
+        assert _replacement_units(cfg) == ((2, 2), (3, 1))
         report = run_trials(cfg)
         expected = 10 * (1 - 2 / 20) ** 2 * (1 - 3 / 20)
         se = report.survivor_stddev / math.sqrt(cfg.trials)
@@ -569,7 +584,7 @@ class TestChurnProcess:
         # the law after the batch, replayed here.
         n = 10**9 - 1
         cfg = _churn(n, q, c, 1, 64)
-        assert _replacement_units(cfg) == [(r, 1)]
+        assert _replacement_units(cfg) == ((r, 1),)
         lo, law = _survivor_law(n, q, [(r, 1)])
         cdf = np.cumsum(law)
         u = _block_rng(cfg.seed, 0).random(64)
@@ -583,11 +598,11 @@ class TestChurnProcess:
 
     def test_replacement_units_constant_ceiling(self):
         cfg = _churn(5, 1, 0.1, 4, 1)
-        assert _replacement_units(cfg) == [(1, 4)]
+        assert _replacement_units(cfg) == ((1, 4),)
 
     def test_replacement_units_fractional_carry(self):
         cfg = _churn(5, 1, 0.1, 4, 1, fractional=True)
-        assert _replacement_units(cfg) == [(0, 2), (1, 2)]
+        assert _replacement_units(cfg) == ((1, 2),)
 
     @pytest.mark.parametrize("fractional", [False, True])
     @pytest.mark.parametrize(
@@ -609,7 +624,7 @@ class TestChurnProcess:
     ):
         cfg = _churn(n, 1, c, delta, 1, fractional=fractional)
         schedule = replacement_schedule_reference(n, c, delta, fractional)
-        assert _replacement_units(cfg) == sorted(Counter(schedule).items())
+        assert _replacement_units(cfg) == _groups(schedule)
 
     def test_fractional_units_take_constant_time_in_delta(self):
         # Unit t replaces floor(t*rate) - floor((t-1)*rate), rate = c*n
@@ -630,14 +645,14 @@ class TestChurnProcess:
         # replacement_schedule_reference sums ten 0.1s to
         # 0.9999999999999999 and replaces none.
         cfg = _churn(10, 3, 0.01, 10, 1, fractional=True)
-        assert _replacement_units(cfg) == [(0, 9), (1, 1)]
+        assert _replacement_units(cfg) == ((1, 1),)
         assert replacement_schedule_reference(10, 0.01, 10, True) == [0] * 10
 
     @pytest.mark.parametrize(
         "n, c, delta, units",
         [
-            (10_000, Fraction(15, 100_000), 200, [(1, 100), (2, 100)]),
-            (1000, Fraction(123, 100_000), 10**5, [(1, 77_000), (2, 23_000)]),
+            (10_000, Fraction(15, 100_000), 200, ((1, 100), (2, 100))),
+            (1000, Fraction(123, 100_000), 10**5, ((1, 77_000), (2, 23_000))),
         ],
     )
     def test_fractional_units_replace_an_integer_total_exactly(
@@ -658,7 +673,7 @@ class TestChurnProcess:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert units == [(1, 10**8)]
+        assert units == ((1, 10**8),)
         assert peak < 2**20
 
     def test_fractional_replaces_half_as_many_here(self):
@@ -671,10 +686,13 @@ class TestChurnProcess:
         assert frac_report.misses < ceil_report.misses
 
 
+# The law-build constants that force each way of applying a group.  A
+# budget of 4 values leaves one row per chunk once r > 0, so rows are
+# rebuilt at every batch even at n = 1.
 _LAW_PATHS = {
     "stepping": {"_MATMUL_SPEEDUP": 1e-9},
     "squaring": {"_MATMUL_SPEEDUP": math.inf},
-    "chunked": {"_MATMUL_SPEEDUP": 1e-9, "_CALL_ELEMENTS": 64},
+    "chunked": {"_MATMUL_SPEEDUP": 1e-9, "_CALL_ELEMENTS": 4},
 }
 
 
@@ -684,19 +702,30 @@ class TestSurvivorLaw:
     def test_matches_the_exact_chain_at_small_n(self, n, path, monkeypatch):
         # Every (q, r, count) with count <= 4, through each way of
         # applying a group: batch by batch, by a matrix power, and batch
-        # by batch with rows rebuilt from several chunks.
+        # by batch with rows rebuilt from several chunks.  The calls
+        # prove the path ran: only squaring takes a matrix power, one per
+        # law; stepping builds its rows once per law, chunking more often.
         for name, value in _LAW_PATHS[path].items():
-            monkeypatch.setattr(simulator, name, value)
+            monkeypatch.setattr(persistence, name, value)
+        powers = _spy(monkeypatch, np.linalg, "matrix_power")
+        rows = _spy(monkeypatch, persistence, "_batch_rows")
+        laws = 0
         for q in range(n + 1):
             for r in range(n + 1):
                 for count in range(1, 5):
                     exact = survivor_law_reference(n, q, [r] * count)
                     want = np.array([float(p) for p in exact])
                     lo, law = _survivor_law(n, q, [(r, count)])
+                    laws += 1
                     assert law[0] > 0 and law[-1] > 0
                     got = np.zeros(q + 1)
                     got[lo : lo + len(law)] = law
                     assert (abs(got - want) <= 1e-12 * want).all(), (q, r, count)
+        assert len(powers) == (laws if path == "squaring" else 0)
+        if path == "stepping":
+            assert len(rows) == laws
+        if path == "chunked":
+            assert len(rows) > laws
 
     @pytest.mark.parametrize(
         "n, q, c, delta, fractional",
@@ -847,7 +876,7 @@ class TestCompareWithAnalytic:
         self, n, q, c, delta, batches, fractional
     ):
         cfg = _churn(n, q, c, delta, 1, fractional=fractional)
-        assert _replacement_units(cfg) == sorted(Counter(batches).items())
+        assert _replacement_units(cfg) == _groups(batches)
         exact = churn_miss_probability_reference(n, q, batches)
         got = compare_with_analytic(cfg).epsilon_analytic
         assert got == pytest.approx(float(exact), rel=1e-12, abs=0)
@@ -872,23 +901,54 @@ class TestCompareWithAnalytic:
         # at S = 0, but its float mass is 1 + 5e-14, and a reference
         # above 1 made the standard error's square root fail.
         cfg = _churn(1000, 79, Fraction(1, 400), 10**7, 256, fractional=True)
-        assert math.fsum(simulator._law(cfg)[1]) > 1
+        assert math.fsum(persistence._law(1000, 79, _replacement_units(cfg))[1]) > 1
         cmp = compare_with_analytic(cfg)
         assert cmp.epsilon_analytic == 1.0 and cmp.z_score == 0.0
 
     def test_one_comparison_builds_the_law_once(self, monkeypatch):
         # run_trials draws from the law and the process reference sums
         # over it: one build serves both.
-        calls = []
-
-        def counted(*args):
-            calls.append(args)
-            return _survivor_law(*args)
-
-        monkeypatch.setattr(simulator, "_survivor_law", counted)
-        simulator._law.cache_clear()
+        persistence._law.cache_clear()
+        builds = _spy(monkeypatch, persistence, "_survivor_law")
         compare_with_analytic(_churn(1000, 79, 0.003, 100, 1000))
-        assert calls == [(1000, 79, [(3, 100)])]
+        assert builds == [(1000, 79, ((3, 100),))]
+
+    def test_seed_and_trials_reuse_the_law(self, monkeypatch):
+        # The law is cached on (n, q, batch schedule), so runs at a new
+        # seed or trial count draw from the law already built.
+        persistence._law.cache_clear()
+        builds = _spy(monkeypatch, persistence, "_survivor_law")
+        base = _churn(200, 20, 0.0025, 40, 1000)
+        for cfg in (base, replace(base, seed=7), replace(base, trials=20_000)):
+            compare_with_analytic(cfg)
+        assert builds == [(200, 20, ((1, 40),))]
+
+    @pytest.mark.parametrize(
+        "change",
+        [dict(delta=41), dict(c=0.01), dict(fractional_churn=True), "urn"],
+        ids=["delta", "c", "fractional", "model"],
+    )
+    def test_a_new_schedule_rebuilds_the_law(self, change, monkeypatch):
+        base = _churn(200, 20, 0.0025, 40, 1000)
+        cfg = _urn(200, 20, 40, 1000) if change == "urn" else replace(base, **change)
+        compare_with_analytic(base)
+        builds = _spy(monkeypatch, persistence, "_survivor_law")
+        compare_with_analytic(cfg)
+        assert _replacement_units(cfg) != ((1, 40),)
+        assert builds == [(200, 20, _replacement_units(cfg))]
+
+    def test_one_schedule_shares_the_law_across_models(self, monkeypatch):
+        # The urn's batch of alpha = 300 and one churn unit of c*n = 300
+        # are the same schedule, so the second run reuses the first law.
+        compare_with_analytic(_urn(1000, 79, 300, 1000))
+        builds = _spy(monkeypatch, persistence, "_survivor_law")
+        compare_with_analytic(_churn(1000, 79, 0.3, 1, 1000))
+        assert builds == []
+
+    def test_the_cached_law_is_read_only(self):
+        _, law = persistence._law(1000, 79, ((3, 100),))
+        with pytest.raises(ValueError, match="read-only"):
+            law[0] = 0.0
 
     def test_zero_variance_edges_score_zero(self):
         # Analytic epsilon 0 (probe everything) or 1 (replace everything)
