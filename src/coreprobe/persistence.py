@@ -236,11 +236,8 @@ def conditional_miss(n: int, q: int, k: int) -> Fraction:
     Equals C(n-q+k, q) / C(n, q), and also the successive-draw product
     prod_{i=1..q} (1 - (q-k)/(n-i+1)).
     """
-    n = _check_int("n", n)
-    q = _check_int("q", q)
+    n, q, _ = _check_urn(n, q, 0)
     k = _check_int("k", k)
-    if not 0 <= q <= n:
-        raise ValueError(f"q must lie in [0, n={n}], got {q}")
     if not 0 <= k <= q:
         raise ValueError(f"k must lie in [0, q={q}], got {k}")
     return Fraction(binomial_exact(n - q + k, q), binomial_exact(n, q))

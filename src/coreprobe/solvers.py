@@ -9,6 +9,7 @@ search.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -156,13 +157,7 @@ def min_core_size(
             f"no core size q <= n={n} reaches epsilon <= {epsilon_max} "
             f"at alpha={alpha}"
         )
-    memo: dict[int, MissProbability] = {}
-
-    def eps(q: int) -> MissProbability:
-        if q not in memo:
-            memo[q] = miss_probability(n, alpha, q, mode)
-        return memo[q]
-
+    eps = functools.cache(lambda q: miss_probability(n, alpha, q, mode))
     seed = min(max(round(n * math.sqrt(-_ln(epsilon_max) / (n - alpha))), 1), n)
     q = _first_true(lambda q: _meets(eps(q), epsilon_max), seed, 0, n)
     return CoreSizeResult(q=q, epsilon=eps(q).epsilon, epsilon_prev=eps(q - 1).epsilon)
@@ -255,12 +250,7 @@ def max_delta(
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
 
-    memo: dict[int, MissProbability] = {}
-
-    def eps(alpha: int) -> MissProbability:
-        if alpha not in memo:
-            memo[alpha] = miss_probability(n, alpha, q, mode)
-        return memo[alpha]
+    eps = functools.cache(lambda alpha: miss_probability(n, alpha, q, mode))
 
     def meets(alpha: int) -> bool:
         return _meets(eps(alpha), epsilon_max)

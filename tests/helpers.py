@@ -2,14 +2,14 @@
 
 Everything here is deliberately naive: exhaustive enumeration over
 subsets and first-principles product formulas, sharing no code with the
-package so disagreements point at real defects.  ``_selection_hits`` and
-``_floyd_hits`` mark which core slots uniform subsets hit;
-``churn_trials_reference`` runs the churn process on them slot by slot, an
-independent check of the survivor law the simulator draws from.  They are
-the simulator's earlier vectorised samplers, pinned draw for draw to the
-plainer ``*_hits_reference`` copies.  ``replacement_schedule_reference``
-is the simulator's earlier per-unit schedule, kept to pin the grouped
-batch sizes.
+package so disagreements point at real defects.
+``selection_hits_reference`` and ``floyd_hits_reference`` mark which core
+slots uniform subsets hit, by Knuth's selection sampling and Floyd's
+subset algorithm; ``churn_trials_reference`` runs the churn process on
+them slot by slot, an independent check of the survivor law the
+simulator draws from.  ``replacement_schedule_reference`` is the
+simulator's earlier per-unit schedule, kept to pin the grouped batch
+sizes.
 """
 
 from __future__ import annotations
@@ -121,54 +121,6 @@ def churn_ratio_exact(c: Fraction, delta: int) -> Fraction:
     return 1 - (1 - c) ** delta
 
 
-def _selection_hits(
-    rng: np.random.Generator, size: int, n: int, k: int, m: int, units: int
-) -> np.ndarray:
-    """Knuth's selection sampling (Algorithm S) over slots 0..m-1.
-
-    Slot i joins a unit's k-subset with probability need/(n - i), where
-    ``need`` is the number of members that unit still lacks; drawing
-    ``integers(0, n - i) < need`` makes that exact.  m vectorised steps,
-    each filling one contiguous row of an (m, size) mask; the (size, m)
-    transpose is returned.
-    """
-    hits = np.empty((m, size), dtype=bool)
-    need = np.full((size, units), k, dtype=np.int32)
-    for i in range(m):
-        taken = rng.integers(0, n - i, size=(size, units), dtype=np.int32) < need
-        need -= taken
-        taken.any(axis=1, out=hits[i])
-    return hits.T
-
-
-def _floyd_hits(
-    rng: np.random.Generator, size: int, n: int, k: int, m: int, units: int
-) -> np.ndarray:
-    """Floyd's subset sampling: k vectorised steps.
-
-    For j in n-k..n-1 each unit draws t in [0, j] and takes j instead
-    when t is already a member.  That membership test only matters
-    while j < m: from j >= m on, a swapped-in j is never a core slot,
-    and a repeated core value marks a slot that is already marked.  So
-    the test runs, and the int32 column is kept for later tests, only
-    while j < m; since j ascends, those are exactly the columns later
-    tests compare against.  Core values are marked in a flat buffer
-    that is returned as the (size, m) mask.
-    """
-    hits = np.zeros(size * m, dtype=bool)
-    columns: list[np.ndarray] = []
-    for j in range(n - k, n):
-        t = rng.integers(0, j + 1, size=(size, units), dtype=np.int32)
-        if j < m:
-            for earlier in columns:
-                t[t == earlier] = j
-            columns.append(t)
-        t = t.ravel()
-        core = np.flatnonzero(t < m)
-        hits[core // units * m + t[core]] = True
-    return hits.reshape(size, m)
-
-
 def selection_hits_reference(
     rng: np.random.Generator, size: int, n: int, k: int, m: int, units: int
 ) -> np.ndarray:
@@ -177,7 +129,6 @@ def selection_hits_reference(
     Row i marks which of slots 0..m-1 fall in any of ``units`` independent
     uniform k-subsets of range(n): slot j joins a subset with probability
     need/(n - j), where ``need`` is the number of members it still lacks.
-    ``_selection_hits`` must make the same draws and return the same mask.
     """
     hits = np.zeros((size, m), dtype=bool)
     need = np.full((size, units), k, dtype=np.int32)
@@ -191,12 +142,11 @@ def selection_hits_reference(
 def floyd_hits_reference(
     rng: np.random.Generator, size: int, n: int, k: int, m: int, units: int
 ) -> np.ndarray:
-    """Floyd's sampler with the membership test at every step.
+    """Floyd's subset sampling over slots 0..m-1.
 
     Same result law as ``selection_hits_reference``: for j in n-k..n-1
     each subset draws t in [0, j] and takes j instead when t is already
     a member, so every column is compared against every earlier one.
-    ``_floyd_hits`` must make the same draws and return the same mask.
     """
     hits = np.zeros((size, m), dtype=bool)
     columns: list[np.ndarray] = []
@@ -246,9 +196,12 @@ def churn_trials_reference(
     for r, count in sorted(Counter(batches).items()):
         # Either sampler is exact.  Selection takes q steps, Floyd's r
         # steps with up to r(r-1)/2 membership comparisons.
-        sample = _selection_hits if r * (r - 1) // 2 >= q else _floyd_hits
+        if r * (r - 1) // 2 >= q:
+            sample = selection_hits_reference
+        else:
+            sample = floyd_hits_reference
         replaced |= sample(rng, size, n, r, q, count)
-    probe = _selection_hits(rng, size, n, q, q, 1)
+    probe = selection_hits_reference(rng, size, n, q, q, 1)
     misses = int(np.count_nonzero(~(probe & ~replaced).any(axis=1)))
     return misses, q - replaced.sum(axis=1)
 

@@ -85,6 +85,9 @@ class TestReplacedCount:
         assert replaced_count(7, 0) == 0
         assert replaced_count(7, 1) == 7
         assert replaced_count(7, Fraction(1)) == 7
+        # float(2**53 + 3) rounds up to 2**53 + 4; only the clamp keeps
+        # alpha at n.
+        assert replaced_count(2**53 + 3, 1.0) == 2**53 + 3
 
     def test_domain_errors(self):
         with pytest.raises(ValueError):
@@ -159,6 +162,8 @@ class TestConditionalMiss:
             conditional_miss(5, 6, 0)
         with pytest.raises(ValueError):
             conditional_miss(5, 3, 4)
+        with pytest.raises(ValueError):
+            conditional_miss(0, 0, 0)
 
 
 class TestMissProbability:
