@@ -13,21 +13,21 @@ Two models:
 
 Only the q core slots decide a trial, and only through S, the number
 of them no batch has replaced.  A batch of r replaces
-``hypergeometric(S, n - S, r)`` survivors and the probe finds
-``hypergeometric(S, n - S, q)``; the trial misses when that is 0.  This
-is exact because the replaced set is invariant under permutations of
-the core slots, so given S the survivors are a uniform S-subset, and
-batches are independent, so their order does not matter.  So in both
-models each trial draws S with one inverse-CDF lookup from the exact
-law of S after every batch, which ``persistence`` builds once per batch
-schedule and keeps for runs at any seed; the probe is one
-hypergeometric draw per trial, and numpy's sampler bounds its
-population, hence n < 10^9.  Memory per block is O(16384) values at
-any n, q and delta, plus the law's window of nonzero mass.  The law and
-both exact references are imported from ``persistence``, so no closed
-form is computed here: the misses are simulated, and the churn
-reference shares only the law with the draws, never the chance m(s)
-that a probe avoids s survivors, which the draws leave to the probe.
+``hypergeometric(S, n - S, r)`` survivors, and the trial misses when
+its probe of q hits none of the S left.  This is exact because the
+replaced set is invariant under permutations of the core slots, so
+given S the survivors are a uniform S-subset, and batches are
+independent, so their order does not matter.  So in both models S
+comes from its exact law after every batch, which ``persistence``
+builds once per batch schedule and keeps for runs at any seed: one
+multinomial draw over the law gives how many trials of a block hold
+each S.  The probe is then simulated draw by draw (``_probe_misses``),
+each draw with its own hit chance, so no closed form is computed here:
+neither the chance m(s) = C(n - s, q)/C(n, q) that a probe avoids s
+survivors nor any product of per-draw chances.  The law and both exact
+references are imported from ``persistence``, and the churn reference
+shares only the law with the draws.  Memory per block is O(16384)
+values at any n, q and delta, plus the law's window of nonzero mass.
 
 Determinism contract: block b holds trials [16384*b, 16384*(b+1)), the
 last block the rest, and draws from
@@ -102,8 +102,8 @@ class TrialConfig:
         n = _check_int("n", self.n)
         if not 1 <= n < 10**9:
             raise ValueError(
-                f"n must lie in [1, 10^9), numpy's bound on hypergeometric "
-                f"populations, got {n}"
+                f"n must lie in [1, 10^9), the populations the simulator is "
+                f"tested over, got {n}"
             )
         _check_urn(n, self.q, self.alpha or 0)
         trials = _check_int("trials", self.trials)
@@ -259,24 +259,58 @@ def _replacement_units(config: TrialConfig) -> tuple[tuple[int, int], ...]:
 
 
 def _block_outcome(
-    config: TrialConfig, lo: int, cdf: np.ndarray, block: int, size: int
+    config: TrialConfig, lo: int, law: np.ndarray, block: int, size: int
 ) -> tuple[int, int, int]:
     """Misses, survivor sum and survivor sum of squares over one block.
 
     A trial carries S, its count of core slots no batch has replaced.
-    S is one inverse-CDF draw from its law after every batch, whose
-    ``cdf`` starts at count ``lo``; the trial misses when its probe
-    hits none of the S survivors.
+    One multinomial draw over ``law``, the probabilities of S after every
+    batch from count ``lo`` on, gives how many trials hold each S; the
+    sums over them are Python ints, exact at any q.
     """
     rng = _block_rng(config.seed, block)
-    n, q = config.n, config.q
-    survivors = lo + cdf.searchsorted(rng.random(size) * cdf[-1], side="right")
-    found = rng.hypergeometric(survivors, n - survivors, q)
-    misses = int(np.count_nonzero(found == 0))
-    if size * q * q >= 2**63:
-        # int64 squares would wrap; Python ints keep the sum exact.
-        survivors = survivors.astype(object)
-    return misses, int(survivors.sum()), int((survivors**2).sum())
+    held = rng.multinomial(size, law)
+    at = np.flatnonzero(held)
+    counts, values = held[at], lo + at
+    pairs = list(zip(counts.tolist(), values.tolist()))
+    total = sum(c * s for c, s in pairs)
+    squares = sum(c * s * s for c, s in pairs)
+    return _probe_misses(rng, config.n, config.q, values, counts), total, squares
+
+
+def _probe_misses(
+    rng: np.random.Generator, n: int, q: int, values: np.ndarray, counts: np.ndarray
+) -> int:
+    """Misses among ``counts[i]`` trials with ``values[i]`` survivors each:
+    trials whose probe of q distinct nodes out of n hits no survivor.
+
+    With k = min(S, q) and K = max(S, q), a miss is the event that k
+    draws without replacement all avoid K marked nodes; given no earlier
+    hit, draw j hits with chance K/(n - j), which grows with j.  So the
+    first hit is found by thinning (Lewis and Shedler, 1979): candidates
+    come at geometric gaps of success chance top = K/(n - k + 1), and
+    the candidate at draw j is a hit with chance (K/(n - j))/top.  A
+    trial misses when a gap carries it past draw k - 1.  S + q > n
+    forces a hit and k = 0 a miss; otherwise k <= n/2, so a candidate
+    is a hit with chance at least about 1/2 and few rounds finish.
+    """
+    k = np.minimum(values, q)
+    misses = int(counts[k == 0].sum())
+    live = (k > 0) & (values <= n - q)
+    k, per = k[live], counts[live]
+    # With rate = -ln(1 - top), a gap of floor(E/rate) + 1 draws, E
+    # standard exponential, is geometric with success chance top.
+    rate = np.repeat(-np.log1p(-np.maximum(values[live], q) / (n - k + 1)), per)
+    k = np.repeat(k, per)
+    draw = np.full(len(k), -1, dtype=np.int64)
+    while len(k):
+        draw += (rng.standard_exponential(len(k)) / rate).astype(np.int64) + 1
+        inside = draw < k
+        misses += len(k) - int(np.count_nonzero(inside))
+        draw, k, rate = draw[inside], k[inside], rate[inside]
+        rejected = rng.random(len(k)) * (n - draw) >= n - k + 1
+        draw, k, rate = draw[rejected], k[rejected], rate[rejected]
+    return misses
 
 
 def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
@@ -291,13 +325,13 @@ def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
     lo, law = _law(config.n, config.q, _replacement_units(config))
-    cdf = np.cumsum(law)
+    law = law / law.sum()
     t = config.trials
     starts = range(0, t, _BLOCK)
     blocks = [(b, min(_BLOCK, t - start)) for b, start in enumerate(starts)]
 
     def outcome(b_size):
-        return _block_outcome(config, lo, cdf, *b_size)
+        return _block_outcome(config, lo, law, *b_size)
 
     workers = min(threads, len(blocks), os.cpu_count() or 1)
     if workers == 1:

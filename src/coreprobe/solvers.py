@@ -13,6 +13,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, Union
 
@@ -93,6 +94,15 @@ def _ln(x: Probability) -> float:
     return math.log(x)
 
 
+def _show(target: Probability) -> str:
+    """A target as messages write it.  A Fraction below the normal double
+    range is given to 6 significant digits, not as a ratio of integers
+    hundreds of digits long; any other target as str() writes it."""
+    if isinstance(target, Fraction) and target < sys.float_info.min:
+        return f"{Decimal(target.numerator) / Decimal(target.denominator):.6g}"
+    return str(target)
+
+
 def _meets(result: MissProbability, target: Probability) -> bool:
     """Whether the miss probability in ``result`` is at most ``target``.
 
@@ -154,7 +164,7 @@ def min_core_size(
     _resolve_mode(n, mode)
     if alpha == n:
         raise InfeasibleError(
-            f"no core size q <= n={n} reaches epsilon <= {epsilon_max} "
+            f"no core size q <= n={n} reaches epsilon <= {_show(epsilon_max)} "
             f"at alpha={alpha}"
         )
     eps = functools.cache(lambda q: miss_probability(n, alpha, q, mode))
@@ -260,7 +270,7 @@ def max_delta(
 
     if not meets(replaced(0)):
         raise InfeasibleError(
-            f"even a static system (delta=0) exceeds epsilon={epsilon_max} "
+            f"even a static system (delta=0) exceeds epsilon={_show(epsilon_max)} "
             f"at n={n}, q={q}"
         )
     # eps(n) = 1 misses every target, so it bounds the search unevaluated.

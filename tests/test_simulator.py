@@ -33,6 +33,7 @@ from coreprobe import persistence, simulator
 from coreprobe.persistence import _survivor_law
 from coreprobe.simulator import _block_rng, _replacement_units
 from helpers import (
+    binom_product,
     churn_miss_probability_reference,
     churn_trials_reference,
     floyd_hits_reference,
@@ -312,28 +313,30 @@ class TestReferenceSampler:
 class TestDeterminism:
     def test_blocks_hold_16384_trials_at_any_n(self, monkeypatch):
         # 2 * 16384 + 1 trials at n = 10^6 run blocks of 16384, 16384
-        # and 1, and block b replays from substream b: its survivor
-        # count after the batch, one inverse-CDF draw from the law, and
-        # its probe, drawn here in that order.
+        # and 1, and block b replays from substream b: the count of its
+        # trials at each survivor count, one multinomial draw over the
+        # law after the batch, and then its probes, drawn here in that
+        # order.
         n, q, trials = 10**6, 2000, 2 * 16384 + 1
         cfg = _churn(n, q, 0.3, 1, trials, seed=3)
         calls = []
         block_outcome = simulator._block_outcome
 
-        def recording(config, lo, cdf, block, size):
-            calls.append((block, size, block_outcome(config, lo, cdf, block, size)))
+        def recording(config, lo, law, block, size):
+            calls.append((block, size, block_outcome(config, lo, law, block, size)))
             return calls[-1][2]
 
         monkeypatch.setattr(simulator, "_block_outcome", recording)
         report = run_trials(cfg)
         assert [(b, size) for b, size, _ in calls] == [(0, 16384), (1, 16384), (2, 1)]
-        rng = _block_rng(3, 0)
         lo, law = _survivor_law(n, q, [(300_000, 1)])
-        cdf = np.cumsum(law)
-        drawn = lo + cdf.searchsorted(rng.random(16384) * cdf[-1], side="right")
-        found = rng.hypergeometric(drawn, n - drawn, q)
-        misses = int(np.count_nonzero(found == 0))
-        assert calls[0][2] == (misses, int(drawn.sum()), int((drawn**2).sum()))
+        for block, size, outcome in calls:
+            rng = _block_rng(3, block)
+            held = rng.multinomial(size, law / law.sum())
+            at = np.flatnonzero(held)
+            misses = simulator._probe_misses(rng, n, q, lo + at, held[at])
+            drawn = np.repeat(lo + at, held[at])
+            assert outcome == (misses, int(drawn.sum()), int((drawn**2).sum()))
         assert report.misses == sum(outcome[0] for _, _, outcome in calls)
         assert report.survivor_mean == sum(outcome[1] for _, _, outcome in calls) / trials
 
@@ -390,7 +393,7 @@ class TestUrnModel:
     # a change in block layout or sampling order would shift them.
     def test_matches_exact_probability_6_2_3(self):
         report = run_trials(_urn(6, 2, 3, 10**6))
-        assert report.misses == 680_256
+        assert report.misses == 679_719
         assert report.epsilon_hat == report.misses / 10**6
         exact = miss_probability(6, 3, 2).epsilon
         assert exact == Fraction(17, 25)
@@ -398,13 +401,13 @@ class TestUrnModel:
 
     def test_matches_exact_probability_static(self):
         report = run_trials(_urn(5, 1, 0, 200_000))
-        assert report.misses == 159_760
+        assert report.misses == 159_843
         assert report.ci_low <= 0.8 <= report.ci_high
 
     def test_matches_exact_probability_10_4_5(self):
         report = run_trials(_urn(10, 4, 5, 200_000))
         exact = float(miss_probability(10, 5, 4).epsilon)
-        assert report.misses == 73_174
+        assert report.misses == 73_401
         assert report.ci_low <= exact <= report.ci_high
 
     def test_certain_miss_and_certain_hit(self):
@@ -450,24 +453,24 @@ class TestChurnProcess:
     def test_frozen_counts_where_the_core_is_out_of_swap_reach(self):
         # n - ceil(c*n) >= q: the benchmark cell, 100 batches of 3.
         report = run_trials(_churn(1000, 79, 0.003, 100, 32768))
-        assert report.misses == 255
-        assert report.survivor_mean == 1_915_748 / 32768
+        assert report.misses == 230
+        assert report.survivor_mean == 1_917_074 / 32768
         exact = float(churn_miss_probability_reference(1000, 79, [3] * 100))
         assert report.ci_low <= exact <= report.ci_high
 
     def test_frozen_counts_where_swaps_land_in_the_core(self):
         # n - ceil(c*n) = 7 < q = 9: every batch can take core slots only.
         report = run_trials(_churn(10, 9, 0.3, 5, 200_000))
-        assert report.misses == 32_099
-        assert report.survivor_mean == 302_581 / 200_000
+        assert report.misses == 32_499
+        assert report.survivor_mean == 301_533 / 200_000
         exact = float(churn_miss_probability_reference(10, 9, [3] * 5))
         assert report.ci_low <= exact <= report.ci_high
 
     def test_frozen_counts_fractional(self):
         # c*n = 2.5: batches of 2 and 3 alternate.
         report = run_trials(_churn(200, 20, 0.0125, 40, 50_000, fractional=True))
-        assert report.misses == 13_754
-        assert report.survivor_mean == 604_119 / 50_000
+        assert report.misses == 13_750
+        assert report.survivor_mean == 604_804 / 50_000
         exact = float(churn_miss_probability_reference(200, 20, [2, 3] * 20))
         assert report.ci_low <= exact <= report.ci_high
 
@@ -509,15 +512,14 @@ class TestChurnProcess:
     ):
         # delta = 1 at n = 10^9 - 1: 64 survivor counts near 10^9, whose
         # squares sum past 2^63.  The report must give the exact mean and
-        # sample standard deviation of the block's inverse-CDF draws from
-        # the law after the batch, replayed here.
+        # sample standard deviation of the block's survivor counts, one
+        # multinomial draw over the law after the batch, replayed here.
         n = 10**9 - 1
         cfg = _churn(n, q, c, 1, 64)
         assert _replacement_units(cfg) == ((r, 1),)
         lo, law = _survivor_law(n, q, [(r, 1)])
-        cdf = np.cumsum(law)
-        u = _block_rng(cfg.seed, 0).random(64)
-        drawn = (lo + cdf.searchsorted(u * cdf[-1], side="right")).tolist()
+        held = _block_rng(cfg.seed, 0).multinomial(64, law / law.sum())
+        drawn = [lo + i for i, count in enumerate(held.tolist()) for _ in range(count)]
         assert sum(s * s for s in drawn) >= 2**63
         report = run_trials(cfg)
         assert report.survivor_mean == sum(drawn) / 64
@@ -742,7 +744,7 @@ class TestSurvivorLaw:
         law = np.zeros(q + 1)
         law[at] = 1.0
         cfg = _churn(1000, q, 0.003, 2, 16384)
-        _, total, squares = simulator._block_outcome(cfg, 0, np.cumsum(law), 0, 16384)
+        _, total, squares = simulator._block_outcome(cfg, 0, law, 0, 16384)
         assert (total, squares) == (at * 16384, at * at * 16384)
 
     @pytest.mark.parametrize(
@@ -754,12 +756,71 @@ class TestSurvivorLaw:
         # and the block reports exactly their sums.
         cfg = _churn(n, q, c, delta, 16384)
         lo, law = _survivor_law(n, q, _replacement_units(cfg))
-        cdf = np.cumsum(law)
-        u = _block_rng(cfg.seed, 0).random(16384)
-        drawn = lo + np.searchsorted(cdf, u * cdf[-1], side="right")
-        assert (law[drawn - lo] > 0).all()
-        _, total, squares = simulator._block_outcome(cfg, lo, cdf, 0, 16384)
+        law = law / law.sum()
+        held = _block_rng(cfg.seed, 0).multinomial(16384, law)
+        assert held.sum() == 16384 and (law[held > 0] > 0).all()
+        drawn = np.repeat(lo + np.arange(len(law)), held)
+        _, total, squares = simulator._block_outcome(cfg, lo, law, 0, 16384)
         assert (total, squares) == (int(drawn.sum()), int((drawn**2).sum()))
+
+
+class TestProbe:
+    # (n, q, S): S = 0; the smallest urn; S > q; the benchmark's scale;
+    # q > n/2; q = n; S + q = n; S + q = n + 1; and n = 10^9 - 1.
+    _CELLS = [
+        (1000, 79, 0),
+        (2, 1, 1),
+        (100, 5, 30),
+        (1000, 79, 55),
+        (40, 25, 3),
+        (1000, 600, 2),
+        (40, 40, 0),
+        (40, 40, 1),
+        (12, 8, 4),
+        (12, 8, 5),
+        (10**9 - 1, 3, 4 * 10**8),
+    ]
+
+    @pytest.mark.parametrize("n, q, s", _CELLS)
+    def test_misses_match_the_exact_avoidance_chance(self, n, q, s):
+        # A point law at S leaves the probe as the only draw in a block,
+        # so 64 blocks of misses are binomial at C(n - S, q)/C(n, q).
+        # The bound |z| <= 4.5 was fixed before the battery first ran;
+        # a certain miss or hit must come out every time.
+        blocks, size = 64, 16384
+        trials = blocks * size
+        cfg = _urn(n, q, 0, trials)
+        misses = sum(
+            simulator._block_outcome(cfg, s, np.ones(1), b, size)[0]
+            for b in range(blocks)
+        )
+        exact = Fraction(binom_product(n - s, q), binom_product(n, q))
+        if exact in (0, 1):
+            assert misses == exact * trials
+        else:
+            se = math.sqrt(exact * (1 - exact) / trials)
+            assert abs(misses / trials - exact) <= 4.5 * se
+
+    def test_no_draw_is_hypergeometric(self, monkeypatch):
+        # The probe is simulated draw by draw and the survivor counts come
+        # from the law, so a generator without a hypergeometric sampler
+        # gives the same reports.
+        class Unhypergeometric:
+            def __init__(self, rng):
+                self._rng = rng
+
+            def __getattr__(self, name):
+                if name == "hypergeometric":
+                    raise AssertionError("a hypergeometric draw was made")
+                return getattr(self._rng, name)
+
+        configs = [_urn(1000, 79, 300, 20_000), _churn(40, 25, 0.1, 5, 20_000)]
+        expected = [run_trials(cfg) for cfg in configs]
+        monkeypatch.setattr(
+            simulator, "_block_rng",
+            lambda seed, block: Unhypergeometric(_block_rng(seed, block)),
+        )
+        assert [run_trials(cfg) for cfg in configs] == expected
 
 
 class TestCompareWithAnalytic:
@@ -940,10 +1001,10 @@ class TestBoundedMemory:
         assert child.returncode == 0, child.stderr
 
     def test_largest_population_runs_in_a_2_gib_address_space(self):
-        # n = 10^9 - 1 is the largest n numpy's hypergeometric sampler
-        # takes.  The urn run draws its batch and probe as survivor
-        # counts; the churn run draws the survivor count after its
-        # repeated group of five batches from that group's exact law.
+        # n = 10^9 - 1 is the largest n a TrialConfig takes.  Both runs
+        # draw their survivor counts from the exact law after every
+        # batch: the urn's one batch, and the churn run's repeated group
+        # of five.
         child = _run_capped(
             """
             base = dict(n=10**9 - 1, q=50, trials=64)

@@ -537,3 +537,31 @@ class TestMaxDelta:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             max_delta(**kwargs)
+
+
+class TestInfeasibleMessages:
+    # A target below the normal double range is written to 6 significant
+    # digits, not as a fraction of hundreds of digits; a target in the
+    # normal range keeps the exact text str() gives it.
+    @pytest.mark.parametrize(
+        "target, text",
+        [
+            (Fraction(1, 10**400), "1e-400"),
+            (Fraction(1, 3 * 10**5000), "3.33333e-5001"),
+            (Fraction(2, 10**308), "2e-308"),
+            (Fraction(3, 10**308), "3/1" + "0" * 308),
+            (Fraction(1, 1000), "1/1000"),
+            (0.001, "0.001"),
+        ],
+    )
+    def test_targets_below_the_double_range_are_written_compactly(self, target, text):
+        with pytest.raises(InfeasibleError) as size:
+            min_core_size(1000, 1000, target)
+        assert str(size.value) == (
+            f"no core size q <= n=1000 reaches epsilon <= {text} at alpha=1000"
+        )
+        with pytest.raises(InfeasibleError) as lifetime:
+            max_delta(1000, 79, Fraction(3, 1000), target)
+        assert str(lifetime.value) == (
+            f"even a static system (delta=0) exceeds epsilon={text} at n=1000, q=79"
+        )
