@@ -15,6 +15,13 @@ below k0 vanish).  The summand factors as (k of the q core members were
 replaced, hypergeometric) times (all q probes avoid the q-k survivors,
 C(n+k-q, q) / C(n, q)).  Every lower binomial index is at most q.
 
+Logspace stops once a falling term is below total * 2^-54, bit-exactly:
+(1) the ratio factors (n+k+1-q)/(n+k+1-2q), (alpha-k)/(k+1) and
+(q-k)/(n-alpha-q+k+1) are positive and non-increasing on [k0, b); (2)
+rounding is monotone, so once the float ratio is below 1 the terms never
+rise; (3) total >= 1, so this and every later term is under half an ulp
+of total (and under the rescale bound) and leaves it unchanged.
+
 The churn process instead replaces ceil(c*n) nodes, or c*n on average,
 in each of delta batches.  ``_process_miss_probability`` sums the probe
 term C(n-s, q) / C(n, q) over the law of the s core members no batch
@@ -29,6 +36,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul, truediv
 from typing import Iterable, Literal, Union
 
 import numpy as np
@@ -257,11 +265,12 @@ def miss_probability(
     """Probability that none of q uniform probes hits a surviving core node.
 
     ``alpha`` of the n nodes were replaced since the core of q nodes was
-    installed.  The value is the full sum over the possible number k of
-    replaced core members; no special case short-circuits it.  Exact
-    mode steps the terms in integers from the exact anchor; logspace
-    steps them in floats from 1.0 and adds ln(anchor / C(n, q)^2),
-    summed from ``ln_binomial`` values.
+    installed.  The value is the sum over the possible number k of
+    replaced core members.  Exact mode steps every term in integers from
+    the exact anchor; logspace steps them in floats from 1.0, stops once
+    a falling term is below total * 2^-54 (exact: the ratio never rises,
+    rounding is monotone and total >= 1; see the module docstring), and
+    adds ln(anchor / C(n, q)^2), summed from ``ln_binomial`` values.
     """
     n, q, alpha = _check_urn(n, q, alpha)
     resolved = _resolve_mode(n, mode)
@@ -271,30 +280,31 @@ def miss_probability(
     # docstring; their product is 0 exactly when k0 > b, i.e. when every
     # term vanishes.  Then T(k+1) = T(k) * num / den, exact in integers.
     anchor = ((n + k0 - q, q), (alpha, k0), (n - alpha, q - k0))
-    steps = (
-        (
-            (n + k + 1 - q) * (alpha - k) * (q - k),
-            (n + k + 1 - 2 * q) * (k + 1) * (n - alpha - q + k + 1),
-        )
-        for k in range(k0, b)
-    )
+    num = map(mul, map(mul, range(n + k0 + 1 - q, n + b + 1 - q),
+                       range(alpha - k0, alpha - b, -1)),
+              range(q - k0, q - b, -1))
+    den = map(mul, map(mul, range(n + k0 + 1 - 2 * q, n + b + 1 - 2 * q),
+                       range(k0 + 1, b + 1)),
+              range(n - alpha - q + k0 + 1, n - alpha - q + b + 1))
     if resolved == "exact":
         term = total = math.prod(binomial_exact(m, r) for m, r in anchor)
-        for num, den in steps:
-            term = term * num // den
+        for x, y in zip(num, den):
+            term = term * x // y
             total += term
         return MissProbability(
             epsilon=Fraction(total, binomial_exact(n, q) ** 2), mode="exact"
         )
     term = total = 1.0
     rescales = 0
-    for num, den in steps:
-        term *= num / den
+    for ratio in map(truediv, num, den):
+        term *= ratio
         total += term
         if term > _RESCALE:
             term /= _RESCALE
             total /= _RESCALE
             rescales += 1
+        elif ratio < 1.0 and term < total * 2.0**-54:
+            break  # the terms fall from here on, each under half an ulp of total
     logs = [ln_binomial(m, r) for m, r in anchor]
     logs += [-2 * ln_binomial(n, q), rescales * _LN_RESCALE, math.log(total)]
     # Float error can push ln(eps) a hair above 0; clamp.

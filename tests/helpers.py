@@ -9,7 +9,9 @@ subset algorithm; ``churn_trials_reference`` runs the churn process on
 them slot by slot, an independent check of the survivor law the
 simulator draws from.  ``replacement_schedule_reference`` is the
 simulator's earlier per-unit schedule, kept to pin the grouped batch
-sizes.
+sizes.  ``logspace_full_sum_reference`` is the earlier logspace loop of
+``miss_probability``, which summed every term; it takes ``ln_binomial``
+from the package, so a disagreement points at the loop.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from collections import Counter
 from itertools import combinations
 
 import numpy as np
+
+from coreprobe.persistence import ln_binomial
 
 
 def pascal_rows(limit: int) -> list[list[int]]:
@@ -56,6 +60,38 @@ def miss_probability_reference(n: int, alpha: int, q: int) -> Fraction:
         for k in range(min(alpha, q) + 1)
     )
     return Fraction(numerator, binom_product(n, q) * binom_product(n, alpha))
+
+
+def logspace_full_sum_reference(n: int, alpha: int, q: int) -> tuple[float, float]:
+    """(epsilon, log_epsilon) of logspace ``miss_probability``, summing every term.
+
+    The earlier loop, kept verbatim: Python-int (num, den) pairs for
+    T(k+1) / T(k), every k in [k0, b) stepped in floats from 1.0, with
+    the rescale by 2^-600 and no early stop.
+    """
+    a, b = max(0, alpha - n + q), min(alpha, q)
+    k0 = max(a, 2 * q - n)
+    anchor = ((n + k0 - q, q), (alpha, k0), (n - alpha, q - k0))
+    steps = (
+        (
+            (n + k + 1 - q) * (alpha - k) * (q - k),
+            (n + k + 1 - 2 * q) * (k + 1) * (n - alpha - q + k + 1),
+        )
+        for k in range(k0, b)
+    )
+    term = total = 1.0
+    rescales = 0
+    for num, den in steps:
+        term *= num / den
+        total += term
+        if term > 2.0**600:
+            term /= 2.0**600
+            total /= 2.0**600
+            rescales += 1
+    logs = [ln_binomial(m, r) for m, r in anchor]
+    logs += [-2 * ln_binomial(n, q), rescales * math.log(2.0**600), math.log(total)]
+    log_eps = min(math.fsum(logs), 0.0)
+    return math.exp(log_eps), log_eps
 
 
 def _mask(indices) -> int:

@@ -313,3 +313,99 @@ class TestMissProbability:
             miss_probability(5, -1, 2)
         with pytest.raises(ValueError):
             miss_probability(5, 1, 2, mode="fast")  # type: ignore[arg-type]
+
+
+def _step_ratio(n: int, alpha: int, q: int, k: int) -> tuple[int, int]:
+    """(num, den) with T(k+1) / T(k) = num / den, in exact integers."""
+    return ((n + k + 1 - q) * (alpha - k) * (q - k),
+            (n + k + 1 - 2 * q) * (k + 1) * (n - alpha - q + k + 1))
+
+
+def _tail_stop(n: int, alpha: int, q: int) -> tuple[int | None, int]:
+    """(k, rescales): the step k at which the logspace loop stops early
+    (None if it sums every term) and the rescales it made before."""
+    a, b = support_bounds(n, q, alpha)
+    term = total = 1.0
+    rescales = 0
+    for k in range(max(a, 2 * q - n), b):
+        num, den = _step_ratio(n, alpha, q, k)
+        ratio = num / den
+        term *= ratio
+        total += term
+        if term > 2.0**600:
+            term /= 2.0**600
+            total /= 2.0**600
+            rescales += 1
+        elif ratio < 1.0 and term < total * 2.0**-54:
+            return k, rescales
+    return None, rescales
+
+
+def _large_cells(seed: int, count: int) -> list[tuple[int, int, int]]:
+    """Seeded (n, alpha, q) with n log-uniform up to 10^9 - 1 and q up to 12000."""
+    rng = random.Random(seed)
+    cells = []
+    for _ in range(count):
+        n = round(math.exp(rng.uniform(math.log(41), math.log(10**9 - 1))))
+        q = round(math.exp(rng.uniform(0, math.log(min(n, 12_000)))))
+        ratio = rng.choice((rng.random(), 0.01, 0.1, 0.3, 0.6, 0.8, 0.95))
+        cells.append((n, math.ceil(ratio * n), q))
+    return cells
+
+
+class TestLogspaceTailStop:
+    """The logspace loop stops once its falling tail cannot change ``total``.
+
+    The stop is exact only if the term ratio never rises on [k0, b) and
+    the stopped sum rounds to the full one; the tests check both.
+    """
+
+    # The solver anchors at n = 10^4, 10^5 and 10^6, a stop that skips 85%
+    # of the terms, and cells where a stop at total * 2^-52 (under two
+    # ulps, not half of one) already changes epsilon.
+    CELLS = [(10**4, 8000, 584), (10**5, 80_000, 1855), (10**6, 800_000, 5874),
+             (10**6, 10**5, 3000), (225_287_495, 161_673_088, 8265),
+             (305_258, 91_578, 6770), (30_368, 3037, 868), (9658, 5795, 982)]
+
+    def test_equals_full_sum_bit_for_bit(self):
+        small = [(n, alpha, q) for n in range(1, 41) for alpha in range(n + 1)
+                 for q in range(n + 1)]
+        large = _large_cells(2020, 500) + self.CELLS
+        for n, alpha, q in small + large:
+            got = miss_probability(n, alpha, q, mode="logspace")
+            assert (got.epsilon, got.log_epsilon) == helpers.logspace_full_sum_reference(
+                n, alpha, q), (n, alpha, q)
+        # The cells reach both sides of the stop: stops that skip most of
+        # the support at low churn, and stops after rescales at large q.
+        early = rescaled = 0
+        for n, alpha, q in large:
+            k, rescales = _tail_stop(n, alpha, q)
+            a, b = support_bounds(n, q, alpha)
+            early += k is not None and alpha <= 0.3 * n and b - k > (b - a) / 2
+            rescaled += k is not None and rescales > 0 and q >= 1855
+        assert early >= 50 and rescaled >= 10, (early, rescaled)
+
+    def test_step_ratio_never_rises_exhaustive(self):
+        for n in range(1, 61):
+            for alpha in range(n + 1):
+                for q in range(n + 1):
+                    a, b = support_bounds(n, q, alpha)
+                    ratios = [_step_ratio(n, alpha, q, k)
+                              for k in range(max(a, 2 * q - n), b)]
+                    assert all(num > 0 and den > 0 for num, den in ratios), (n, alpha, q)
+                    for (num, den), (num2, den2) in zip(ratios, ratios[1:]):
+                        assert num * den2 >= num2 * den, (n, alpha, q)
+
+    def test_step_ratio_never_rises_where_the_loop_stops(self):
+        checked = 0
+        for n, alpha, q in _large_cells(2021, 1000):
+            k, _ = _tail_stop(n, alpha, q)
+            if k is None or k + 1 >= min(alpha, q):
+                continue
+            num, den = _step_ratio(n, alpha, q, k)
+            num2, den2 = _step_ratio(n, alpha, q, k + 1)
+            assert num < den and num * den2 >= num2 * den, (n, alpha, q, k)
+            checked += 1
+            if checked == 200:
+                break
+        assert checked == 200
