@@ -528,6 +528,8 @@ def simulate(n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
     accepts 'static'.  alpha = ceil(C*n).
     """
     alpha, _, rate = _resolve_churn(n, alpha, cap_c, c_rate, delta)
+    if fractional_churn and rate is None:
+        raise click.UsageError("--fractional-churn applies only to --c with --delta")
     model = "urn" if rate is None else "churn_process"
     form = {"alpha": alpha} if rate is None else {"c": rate, "delta": delta}
     config = TrialConfig(

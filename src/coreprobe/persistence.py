@@ -356,39 +356,41 @@ def _survivor_law(n: int, q: int, groups: _Groups) -> tuple[int, np.ndarray]:
     With m = min(S, r), P(k)/P(mode) <= (m+1) exp(-2(|k - mode| - 1)^2/m)
     (Hoeffding 1963, Thm. 4), so terms beyond 1 + isqrt(m (746 + bitlen
     m)) of the mode are below 2^-1075 of it; rows stop there, at
-    m = min(q, r).  A group is applied batch by batch or as a power of
-    its (q+1)^2 transition matrix, as the cost model says; the power
-    only if the matrix fits ``_CALL_ELEMENTS``.  Rows of the states the group can
-    reach before its last batch are kept if they fit that many values,
-    else each batch builds its window's rows in chunks that do.
+    m = min(q, r).  A group is applied batch by batch or as a power of its
+    (q+1)^2 transition matrix, as the cost model says; the power only if
+    it fits ``_CALL_ELEMENTS``.  Rows of the states the group can reach
+    before its last batch are kept if they fit too, else built in chunks
+    that do, each scattered as built: a call holds one chunk's rows, the
+    law and a window 2 band + 1 wider, from band below lo - mode(lo), as
+    row S spans S - mode(S) +- band and S - mode(S) never falls.
     """
     lo, law = q, np.ones(1)
     for r, count in groups:
         m = min(q, r)
         band = min(m, 1 + math.isqrt(m * (746 + m.bit_length())))
-        states = np.arange(max(0, lo - (count - 1) * r), lo + len(law))
+        first, top = max(0, lo - (count - 1) * r), lo + len(law)
         chunk = max(1, _CALL_ELEMENTS // (2 * band + 1))
-        stepping = count * (len(states) * (min(m, 2 * band) + 1) + _CALL_COST)
+        stepping = count * ((top - first) * (min(m, 2 * band) + 1) + _CALL_COST)
         squaring = count.bit_length() * ((q + 1) ** 3 / _MATMUL_SPEEDUP + _CALL_COST)
         if (q + 1) ** 2 <= _CALL_ELEMENTS and squaring < stepping:
             matrix = np.zeros((q + 1, q + 1))
-            for part in np.split(states, range(chunk, len(states), chunk)):
+            for part in np.split(np.arange(first, top), range(chunk, top - first, chunk)):
                 targets, probs = _batch_rows(n, r, part, band)
                 np.add.at(matrix, (part[:, None], targets), probs)
             full = np.pad(law, (lo, q + 1 - lo - len(law)))
             lo, law = _trimmed(0, full @ np.linalg.matrix_power(matrix, count))
             continue
-        kept = _batch_rows(n, r, states, band) if len(states) <= chunk else None
+        kept = top - first <= chunk and _batch_rows(n, r, np.arange(first, top), band)
         for _ in range(count):
-            at, window = lo - states[0], np.arange(lo, lo + len(law))
-            rows = [(law, *(x[at : at + len(law)] for x in kept))] if kept else [
-                (law[i : i + chunk], *_batch_rows(n, r, window[i : i + chunk], band))
-                for i in range(0, len(law), chunk)
-            ]
-            base = min(t[0, -1] for _, t, _ in rows)
-            size = max(t[-1, 0] for _, t, _ in rows) - base + 1
-            lo, law = _trimmed(base, sum(np.bincount(
-                (t - base).ravel(), (w[:, None] * p).ravel(), size) for w, t, p in rows))
+            base = max(0, lo - (r + 1) * (lo + 1) // (n + 2) - band)
+            window = np.zeros(len(law) + 2 * band + 1)
+            for i in range(0, len(law), chunk):
+                w, at = law[i : i + chunk], lo - first + i
+                t, p = (x[at : at + len(w)] for x in kept) if kept else _batch_rows(
+                    n, r, np.arange(lo + i, lo + i + len(w)), band)
+                window[t[0, -1] - base : t[-1, 0] - base + 1] += np.bincount(
+                    (t - t[0, -1]).ravel(), (w[:, None] * p).ravel())
+            lo, law = _trimmed(base, window)
     return lo, law
 
 

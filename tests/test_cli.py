@@ -646,11 +646,13 @@ class TestSimulate:
             "--delta", "5", "--trials", "1000", "--fractional-churn",
         )
         assert ok.exit_code == 0
-        bad = invoke(
-            runner, "simulate", "--n", "20", "--q", "4", "--alpha", "2",
-            "--trials", "1000", "--fractional-churn",
-        )
-        assert bad.exit_code == 2
+        for form in (("--alpha", "2"), ("--C", "10%")):
+            bad = invoke(
+                runner, "simulate", "--n", "20", "--q", "4", *form,
+                "--trials", "1000", "--fractional-churn",
+            )
+            assert bad.exit_code == 2
+            assert "--fractional-churn" in bad.output
 
 
 class TestExitCodes:

@@ -16,11 +16,14 @@ from coreprobe import (
     binomial_exact,
     churn_ratio,
     conditional_miss,
+    delta_for_churn,
     hypergeometric_pmf,
+    min_core_size,
     miss_probability,
     replaced_count,
     support_bounds,
 )
+from coreprobe.persistence import _process_miss_probability
 
 _fractions = st.fractions(min_value=Fraction(0), max_value=Fraction(97, 100))
 
@@ -409,3 +412,79 @@ class TestLogspaceTailStop:
             if checked == 200:
                 break
         assert checked == 200
+
+
+def _ln(value: Fraction) -> float:
+    return math.log(value.numerator) - math.log(value.denominator)
+
+
+class TestModelGap:
+    """The churn process against the paper's urn at alpha = ceil(C n).
+
+    The process replaces r nodes in each of delta batches; the urn
+    replaces alpha at once.  Both answer the same sizing question.
+    """
+
+    @pytest.mark.parametrize(
+        "q, ln_process, ln_urn", [(600, -382.664, -410.975), (700, -646.706, None)]
+    )
+    def test_deep_tail_urn_is_orders_of_magnitude_off(self, q, ln_process, ln_urn):
+        # 50 batches of 10 replace C = 39.5% of n = 1000.  The process
+        # spreads S wider than one batch of alpha = 395 does: at q = 600
+        # its miss probability is about e^28 larger, and at q = 700 the
+        # urn never misses (alpha < 2q - n), while the process can.
+        alpha = replaced_count(1000, churn_ratio(Fraction(1, 100), 50))
+        assert alpha == 395
+        exact = helpers.churn_miss_probability_reference(1000, q, [10] * 50)
+        assert _ln(exact) == pytest.approx(ln_process, abs=5e-4)
+        got = _process_miss_probability(1000, q, ((10, 50),))
+        assert math.log(got) == pytest.approx(_ln(exact), abs=1e-10)
+        if ln_urn is None:
+            assert miss_probability(1000, alpha, q, mode="exact").epsilon == 0
+        else:
+            urn = miss_probability(1000, alpha, q, mode="logspace").log_epsilon
+            assert urn == pytest.approx(ln_urn, abs=5e-4)
+
+    @pytest.mark.parametrize(
+        "n, epsilon, delta, q, missed",
+        [
+            (1000, Fraction(1, 100), 1608, 149, 0.0101657),
+            (10**4, Fraction(1, 1000), 16093, 584, 0.00100357),
+        ],
+    )
+    def test_urn_size_misses_its_target_under_the_process(
+        self, n, epsilon, delta, q, missed
+    ):
+        # Single-node batches up to C = 80%: `size --c 1/n --delta delta`
+        # answers q, but the process misses more often than the target
+        # there and first meets it one core member later.
+        assert delta_for_churn(Fraction(1, n), Fraction(4, 5)).delta == delta
+        alpha = replaced_count(n, churn_ratio(Fraction(1, n), delta))
+        assert min_core_size(n, alpha, epsilon).q == q
+        groups = ((1, delta),)
+        at_q = _process_miss_probability(n, q, groups)
+        assert at_q == pytest.approx(missed, rel=1e-5) and at_q > epsilon
+        assert _process_miss_probability(n, q + 1, groups) <= epsilon
+        if n <= EXACT_N_LIMIT:
+            assert helpers.churn_miss_probability_reference(n, q, [1] * delta) > epsilon
+            assert helpers.churn_miss_probability_reference(n, q + 1, [1] * delta) <= epsilon
+
+    @pytest.mark.parametrize(
+        "n, epsilon, r, ratio, delta, q",
+        [
+            (1000, Fraction(1, 100), 1, Fraction(3, 10), 356, 79),
+            (1000, Fraction(1, 100), 50, Fraction(4, 5), 31, 148),
+            (10**4, Fraction(1, 1000), 100, Fraction(4, 5), 160, 584),
+        ],
+    )
+    def test_urn_size_is_the_process_size_at_these_cells(
+        self, n, epsilon, r, ratio, delta, q
+    ):
+        # A witness pair under both models: q - 1 misses the target, q
+        # meets it.
+        assert delta_for_churn(Fraction(r, n), ratio).delta == delta
+        alpha = replaced_count(n, churn_ratio(Fraction(r, n), delta))
+        assert min_core_size(n, alpha, epsilon).q == q
+        groups = ((r, delta),)
+        assert _process_miss_probability(n, q - 1, groups) > epsilon
+        assert _process_miss_probability(n, q, groups) <= epsilon

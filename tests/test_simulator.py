@@ -619,11 +619,13 @@ class TestChurnProcess:
 
 # The law-build constants that force each way of applying a group.  A
 # budget of 4 values leaves one row per chunk once r > 0, so rows are
-# rebuilt at every batch even at n = 1.
+# rebuilt at every batch even at n = 1; a budget of 64 puts several rows
+# in a chunk, so chunk edges fall inside the batch's window.
 _LAW_PATHS = {
     "stepping": {"_MATMUL_SPEEDUP": 1e-9},
     "squaring": {"_MATMUL_SPEEDUP": math.inf},
     "chunked": {"_MATMUL_SPEEDUP": 1e-9, "_CALL_ELEMENTS": 4},
+    "chunked-64": {"_MATMUL_SPEEDUP": 1e-9, "_CALL_ELEMENTS": 64},
 }
 
 
@@ -635,7 +637,8 @@ class TestSurvivorLaw:
         # applying a group: batch by batch, by a matrix power, and batch
         # by batch with rows rebuilt from several chunks.  The calls
         # prove the path ran: only squaring takes a matrix power, one per
-        # law; stepping builds its rows once per law, chunking more often.
+        # law; stepping builds its rows once per law, chunking more often
+        # (with a budget of 64, once the rows outgrow it at n = 5).
         for name, value in _LAW_PATHS[path].items():
             monkeypatch.setattr(persistence, name, value)
         powers = _spy(monkeypatch, np.linalg, "matrix_power")
@@ -655,8 +658,10 @@ class TestSurvivorLaw:
         assert len(powers) == (laws if path == "squaring" else 0)
         if path == "stepping":
             assert len(rows) == laws
-        if path == "chunked":
+        if path == "chunked" or (path == "chunked-64" and n >= 5):
             assert len(rows) > laws
+        if path == "chunked-64":
+            assert max(len(states) for _, _, states, _ in rows) > 1
 
     @pytest.mark.parametrize(
         "n, q, c, delta, fractional",
@@ -700,6 +705,18 @@ class TestSurvivorLaw:
                             for _ in range(count))
         mean = (law * (lo + np.arange(len(law)))).sum()
         assert mean == pytest.approx(float(q * survive), rel=1e-9)
+
+    def test_memory_does_not_grow_with_the_reachable_range(self):
+        # Two batches of 30,000 from q = 20,000 can reach every count, and
+        # rows that wide do not fit one call's budget: each batch must
+        # build and apply them a chunk at a time, never all at once.
+        tracemalloc.start()
+        try:
+            _survivor_law(10**5, 20_000, [(30_000, 2)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 320 * 2**20
 
     @pytest.mark.parametrize(
         "n, s, r", [(3000, 1500, 1500), (20_000, 2000, 2000), (8000, 4000, 4000)]
@@ -1030,6 +1047,21 @@ class TestBoundedMemory:
             f"""
             base = dict(n=10**9 - 1, q=998_000_000, trials=64)
             assert run_trials(TrialConfig(**{form}, **base)).trials == 64
+            """
+        )
+        assert child.returncode == 0, child.stderr
+
+    def test_wide_reach_runs_in_a_2_gib_address_space(self):
+        # Two batches of a quarter of n at q near n = 10^9 can reach half
+        # a billion counts: the law must hold no value per count it can
+        # reach, only its window and one chunk of rows.
+        child = _run_capped(
+            """
+            config = TrialConfig(
+                model="churn_process", n=10**9 - 1, q=10**9 - 11, c=0.25,
+                delta=2, trials=64,
+            )
+            assert run_trials(config).trials == 64
             """
         )
         assert child.returncode == 0, child.stderr
