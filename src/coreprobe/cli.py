@@ -169,6 +169,10 @@ def _rational(value: Fraction) -> str:
 _SHORT_TERM = 10**40
 
 
+# Six significant digits at any exponent, for values below the double range.
+_DEEP = decimal.Context(prec=6, Emin=decimal.MIN_EMIN)
+
+
 def _fmt_prob(value) -> str:
     """Human-readable probability: short rationals verbatim, else decimal."""
     decimal_text = f"{float(value):.6g}"
@@ -272,7 +276,7 @@ def prob(n, q, alpha, cap_c, c_rate, delta, mode, as_json):
     """
     alpha, ratio, _ = _resolve_churn(n, alpha, cap_c, c_rate, delta)
     result = miss_probability(n, alpha, q, mode=mode)
-    epsilon = result.epsilon
+    epsilon, log_eps = result.epsilon, result.log_epsilon
     if as_json:
         record = {"n": n, "q": q, "alpha": alpha, "C": ratio, "mode": result.mode,
                   "epsilon": epsilon, "p": 1 - epsilon}
@@ -280,13 +284,17 @@ def prob(n, q, alpha, cap_c, c_rate, delta, mode, as_json):
             record["epsilon_rational"] = _rational(epsilon)
         else:
             # eps = 0 has ln(eps) = -inf, which strict JSON cannot carry.
-            log_eps = result.log_epsilon
             record["log_epsilon"] = None if log_eps == -math.inf else log_eps
         _emit_json(record)
         return
     _echo(f"n = {n}  q = {q}  alpha = {alpha}  (C = {float(ratio):.6g})")
     _echo(f"mode = {result.mode}")
-    _echo(f"epsilon = {_fmt_prob(epsilon)}")
+    if result.mode == "logspace" and epsilon < sys.float_info.min and log_eps > -math.inf:
+        # eps is 0 or subnormal as a double; its log still holds six digits.
+        deep = _DEEP.exp(decimal.Decimal(log_eps)).normalize(_DEEP)
+        _echo(f"epsilon ~ {deep:g} (ln epsilon = {log_eps:.6g})")
+    else:
+        _echo(f"epsilon = {_fmt_prob(epsilon)}")
     _echo(f"p = {_fmt_prob(1 - epsilon)}")
 
 

@@ -37,9 +37,10 @@ import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, truediv
-from typing import Iterable, Literal, Union
+from typing import TYPE_CHECKING, Iterable, Literal, Union
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads only inside the survivor-law functions
+    import numpy as np
 
 __all__ = [
     "binomial_exact",
@@ -328,6 +329,8 @@ def _batch_rows(
     terms past an edge are 0 and their targets are clipped into [0, S].
     Targets fall along a row and rise with S, as S - mode never falls.
     """
+    import numpy as np
+
     s = states[:, None]
     mode = (r + 1) * (states + 1) // (n + 2)
     # Above the mode each step multiplies by P(k+1)/P(k), below it by P(k-1)/P(k).
@@ -343,6 +346,8 @@ def _batch_rows(
 
 def _trimmed(lo: int, law: np.ndarray) -> tuple[int, np.ndarray]:
     """(lo, law) cut down to the window from its first to its last nonzero entry."""
+    import numpy as np
+
     nonzero = np.flatnonzero(law)
     return int(lo + nonzero[0]), law[nonzero[0] : nonzero[-1] + 1]
 
@@ -364,6 +369,8 @@ def _survivor_law(n: int, q: int, groups: _Groups) -> tuple[int, np.ndarray]:
     law and a window 2 band + 1 wider, from band below lo - mode(lo), as
     row S spans S - mode(S) +- band and S - mode(S) never falls.
     """
+    import numpy as np
+
     lo, law = q, np.ones(1)
     for r, count in groups:
         m = min(q, r)
@@ -412,6 +419,8 @@ def _process_miss_probability(n: int, q: int, groups: _Groups) -> float:
     s = n - q, where every probe hits a survivor.  The sum is divided by
     the law's float mass, as the draws are, so eps never exceeds 1.
     """
+    import numpy as np
+
     lo, law = _law(n, q, groups)
     live = law[: max(0, n - q - lo + 1)]
     steps = np.log1p(-q / (n - np.arange(lo, lo + len(live) - 1)))

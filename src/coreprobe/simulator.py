@@ -40,12 +40,12 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Union
+from typing import TYPE_CHECKING, Literal, Union
 
-import numpy as np
+if TYPE_CHECKING:  # numpy loads only when a function here runs
+    import numpy as np
 
 from .persistence import (
     _check_int,
@@ -187,6 +187,8 @@ def wilson_interval(
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(block,))
     )
@@ -198,6 +200,8 @@ def _floyd_subsets(rng: np.random.Generator, size: int, n: int, k: int) -> np.nd
     A (size, n) member mask answers Floyd's membership test directly,
     so no column comparisons are needed.  Rows come out ascending.
     """
+    import numpy as np
+
     seen = np.zeros((size, n), dtype=bool)
     rows = np.arange(size)
     out = np.empty((size, k), dtype=np.int32)
@@ -219,6 +223,8 @@ def draw_subsets(n: int, k: int, count: int, seed: int = 0) -> np.ndarray:
     rows = max(1, min(16384, 2^24 // n)): at most 16 MiB, or one row
     when n is larger.
     """
+    import numpy as np
+
     n = _check_int("n", n)
     k = _check_int("k", k)
     count = _check_int("count", count)
@@ -268,6 +274,8 @@ def _block_outcome(
     batch from count ``lo`` on, gives how many trials hold each S; the
     sums over them are Python ints, exact at any q.
     """
+    import numpy as np
+
     rng = _block_rng(config.seed, block)
     held = rng.multinomial(size, law)
     at = np.flatnonzero(held)
@@ -294,6 +302,8 @@ def _probe_misses(
     forces a hit and k = 0 a miss; otherwise k <= n/2, so a candidate
     is a hit with chance at least about 1/2 and few rounds finish.
     """
+    import numpy as np
+
     k = np.minimum(values, q)
     misses = int(counts[k == 0].sum())
     live = (k > 0) & (values <= n - q)
@@ -337,6 +347,8 @@ def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
     if workers == 1:
         results = map(outcome, blocks)
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(outcome, blocks))
     misses, surv_sum, surv_sumsq = (sum(column) for column in zip(*results))

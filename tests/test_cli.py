@@ -116,6 +116,19 @@ class TestProb:
         logspace = json.loads(invoke(runner, *args, "--mode", "logspace").output)
         assert logspace["log_epsilon"] is None
 
+    def test_text_below_the_double_range_is_rendered_from_the_log(self, runner):
+        # eps underflows a double here; the text form reads it off ln(eps),
+        # to the six digits the exact rational gives, and --json keeps 0.0.
+        args = ["prob", "--n", "10000", "--q", "3164", "--alpha", "3000"]
+        text = invoke(runner, *args).output
+        assert "epsilon ~ 6.44777e-401 (ln epsilon = -921.473)" in text
+        exact = miss_probability(10_000, 3000, 3164, "exact").epsilon
+        deep = decimal.Context(prec=6, Emin=decimal.MIN_EMIN)
+        assert str(deep.divide(exact.numerator, exact.denominator)) == "6.44777E-401"
+        record = json.loads(invoke(runner, *args, "--json").output)
+        assert record["epsilon"] == 0.0 and record["p"] == 1.0
+        assert record["log_epsilon"] == pytest.approx(-921.4728880364212, abs=1e-9)
+
     def test_churn_form_matches_ceiling_conversion(self, runner):
         # --c/--delta goes through C = 1-(1-c)^delta, alpha = ceil(C*n).
         result = invoke(

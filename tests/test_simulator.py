@@ -1,5 +1,6 @@
 """Tests for the Monte Carlo cross-check of the analytic miss probability."""
 
+import concurrent.futures
 import math
 import os
 import statistics
@@ -380,7 +381,7 @@ class TestDeterminism:
             def map(self, fn, items):
                 return list(map(fn, items))
 
-        monkeypatch.setattr(simulator, "ThreadPoolExecutor", RecordingPool)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         cfg = _urn(10**6, 10, 1000, blocks * 16384)
         report = run_trials(cfg, threads=10**6)
