@@ -94,6 +94,14 @@ def _ln(x: Probability) -> float:
     return math.log(x)
 
 
+def _ln_epsilon(result: MissProbability) -> float:
+    """ln eps of an evaluation, -inf where eps is 0: ``log_epsilon`` in
+    logspace, from numerator and denominator in exact mode."""
+    if result.log_epsilon is not None:
+        return result.log_epsilon
+    return _ln(result.epsilon) if result.epsilon else -math.inf
+
+
 def _show(target: Probability) -> str:
     """A target as messages write it.  A Fraction below the normal double
     range is given to 6 significant digits, not as a ratio of integers
@@ -152,9 +160,16 @@ def min_core_size(
 
     The miss probability is non-increasing in q, from eps(0) = 1 down to
     eps(n) = 0 (alpha < n), so ``_first_true`` searches (0, n] without
-    evaluating either end.  It starts at the paper's asymptote
-    eps ~ exp(-q^2 (1-C) / n), i.e. q0 = n sqrt(ln(1/epsilon_max) / (n - alpha))
-    clamped to [1, n].  Each eps(q) is evaluated at most once.
+    evaluating either end.  The paper's asymptote
+    eps ~ exp(-q^2 (1-C) / n) gives the seed
+    q0 = n sqrt(ln(1/epsilon_max) / (n - alpha)), clamped to [1, n].
+    eps(q0) is evaluated first: its verdict puts the answer on one side
+    of q0, and its value refits kappa in ln eps ~ -kappa q^2, so the
+    search starts at ceil(q0 sqrt(ln epsilon_max / ln eps(q0))) on that
+    side (at q0 itself where eps(q0) is 0 or 1).  The guess only places
+    the search; the answer and its witnesses come from the monotone
+    test.  Each eps(q) is evaluated at most once, 3 times in all when
+    the guess lands next to the answer.
     Raises InfeasibleError when alpha = n: every initial node was
     replaced, so no probe can find a core member.
     """
@@ -168,8 +183,16 @@ def min_core_size(
             f"at alpha={alpha}"
         )
     eps = functools.cache(lambda q: miss_probability(n, alpha, q, mode))
-    seed = min(max(round(n * math.sqrt(-_ln(epsilon_max) / (n - alpha))), 1), n)
-    q = _first_true(lambda q: _meets(eps(q), epsilon_max), seed, 0, n)
+    ln_target = _ln(epsilon_max)
+    seed = min(max(round(n * math.sqrt(-ln_target / (n - alpha))), 1), n)
+    lo, hi = (0, seed) if _meets(eps(seed), epsilon_max) else (seed, n)
+    # Refit kappa in ln eps ~ -kappa q^2 to the seed's own value.
+    ln_seed = _ln_epsilon(eps(seed))
+    guess = seed
+    if -math.inf < ln_seed < 0:
+        guess = math.ceil(seed * math.sqrt(ln_target / ln_seed))
+    guess = min(max(guess, lo + 1), hi)
+    q = _first_true(lambda q: _meets(eps(q), epsilon_max), guess, lo, hi)
     return CoreSizeResult(q=q, epsilon=eps(q).epsilon, epsilon_prev=eps(q - 1).epsilon)
 
 
@@ -239,12 +262,14 @@ def max_delta(
     """Largest probe period whose derived miss probability meets the target.
 
     The churn ratio grows with delta, hence so does the replaced count
-    alpha and the miss probability, so the search runs in alpha: one
-    ``_first_true`` finds the largest alpha_max meeting the target,
-    seeded where the mean survivor count q (n - alpha) / n puts a
-    with-replacement probe at epsilon_max, and a second one finds the
-    largest delta whose replaced count stays within alpha_max, with
-    float-only steps.  Raises InfeasibleError when the static case
+    alpha and the miss probability, so one ``_first_true`` over delta
+    finds the first delta that misses the target.  Its guess comes from
+    one evaluation at the alpha where the mean survivor count
+    q (n - alpha) / n puts a with-replacement probe at epsilon_max: that
+    value refits kappa in ln eps ~ -kappa (n - alpha), and the refit
+    alpha maps to delta through log1p(-alpha / n) / log1p(-c).  Each
+    eps(alpha) is evaluated at most once, however many deltas share
+    that alpha.  Raises InfeasibleError when the static case
     (delta = 0, nothing replaced) already violates the target; returns a
     capped result when every delta up to ``horizon`` is still feasible.
     """
@@ -280,14 +305,18 @@ def max_delta(
             delta=horizon, epsilon=eps(alpha_top).epsilon, epsilon_next=None, capped=True
         )
     # Seed alpha where the mean survivor count s = q (n - alpha) / n
-    # gives (1 - s/n)^q = epsilon_max, and delta where the churn ratio
-    # reaches alpha_max / n.
-    seed = round(n + n * n * math.expm1(_ln(epsilon_max) / q) / q)
-    guess = min(max(seed, 1), alpha_top)
-    alpha_max = _first_true(lambda a: not meets(a), guess, 0, alpha_top) - 1
-    seed = math.log1p(-alpha_max / n) / math.log1p(-float(c))
-    guess = int(min(seed + 1, horizon))
-    over = _first_true(lambda d: replaced(d) > alpha_max, guess, 0, horizon)
+    # gives (1 - s/n)^q = epsilon_max, refit kappa in ln eps ~
+    # -kappa (n - alpha) to the seed's own value, and guess the first
+    # delta whose churn ratio passes the refit alpha / n.
+    ln_target = _ln(epsilon_max)
+    seed = min(max(round(n + n * n * math.expm1(ln_target / q) / q), 1), alpha_top)
+    alpha = seed
+    ln_seed = _ln_epsilon(eps(seed))
+    if -math.inf < ln_seed < 0:
+        alpha = n - (n - seed) * ln_target / ln_seed
+    alpha = min(max(alpha, 0), n - 1)
+    guess = math.floor(math.log1p(-alpha / n) / math.log1p(-float(c))) + 1
+    over = _first_true(lambda d: not meets(replaced(d)), min(guess, horizon), 0, horizon)
     return MaxDeltaResult(
         delta=over - 1,
         epsilon=eps(replaced(over - 1)).epsilon,

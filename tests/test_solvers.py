@@ -3,6 +3,7 @@
 import math
 import random
 import signal
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -196,12 +197,14 @@ _CORE_SIZE_ANCHORS = [
     (10_000, Fraction(1, 10), Fraction(1, 1000), 274),
     (10_000, Fraction(1, 2), Fraction(1, 1000), 369),
     (100_000, Fraction(4, 5), Fraction(1, 1000), 1855),
+    (1_000_000, Fraction(4, 5), Fraction(1, 1000), 5874),
 ]
 
 
 class TestSolverEvaluations:
-    # Each solve evaluates a given (n, alpha, q) at most once, and the
-    # seeded search reaches the anchors in a handful of evaluations.
+    # Each solve evaluates a given (n, alpha, q) at most once.  The
+    # refit guess reaches every core-size anchor in 3 evaluations: the
+    # seed and the witness pair.
     @pytest.fixture()
     def calls(self, monkeypatch):
         seen = []
@@ -217,7 +220,7 @@ class TestSolverEvaluations:
     def test_min_core_size_anchor_budget(self, calls, n, ratio, target, want):
         assert min_core_size(n, replaced_count(n, ratio), target).q == want
         assert len(calls) == len(set(calls))
-        assert len(calls) <= 8
+        assert len(calls) <= 3
 
     def test_min_core_size_never_repeats_an_evaluation(self, calls):
         for n in (1, 2, 7, 60, 500):
@@ -230,14 +233,25 @@ class TestSolverEvaluations:
     @pytest.mark.parametrize(
         "args,budget",
         [
-            ((1000, 79, 1e-3, Fraction(1, 100)), 12),
-            ((10_000, 274, 1e-3, Fraction(1, 1000)), 16),
+            ((1000, 79, 1e-3, Fraction(1, 100)), 6),
+            ((10_000, 274, 1e-3, Fraction(1, 1000)), 6),
             ((50, 50, 0.01, Fraction(1, 2)), 4),
         ],
     )
     def test_max_delta_anchor_budget(self, calls, args, budget):
         max_delta(*args)
         assert len(calls) <= budget
+
+    def test_max_delta_tiny_rate_budget(self, calls):
+        # At c = 10^-6 the answer is past 1.6 million time units; one
+        # search in delta, started from the refit, still needs few
+        # evaluations.
+        got = max_delta(1_000_000, 6000, 1e-6, Fraction(1, 1000))
+        assert got.delta == 1_652_031
+        assert not got.capped
+        assert got.epsilon <= Fraction(1, 1000) < got.epsilon_next
+        assert len(calls) == len(set(calls))
+        assert len(calls) <= 8
 
     @pytest.mark.parametrize(
         "args,kwargs",
@@ -430,6 +444,26 @@ class TestRoundTrips:
             assert delta_for_churn(c, ratio).delta == delta, (ratio, delta)
 
 
+def _churn_alphas(n, c, horizon):
+    """Replaced counts at delta = 0, 1, ... up to the horizon or total
+    turnover, where eps = 1 misses every target."""
+    alphas = [0]
+    while alphas[-1] < n and len(alphas) <= horizon:
+        alphas.append(replaced_count(n, churn_ratio(c, len(alphas))))
+    return alphas
+
+
+def _max_delta_scan(eps, target, horizon):
+    """The answer a linear scan over eps[delta], delta = 0, 1, ..., gives;
+    None where the static case already misses the target."""
+    if eps[0] > target:
+        return None
+    over = next((d for d, e in enumerate(eps) if e > target), None)
+    if over is None:
+        return MaxDeltaResult(horizon, eps[horizon], None, True)
+    return MaxDeltaResult(over - 1, eps[over - 1], eps[over], False)
+
+
 class TestMaxDelta:
     # max_delta must agree with a linear scan over delta using the exact
     # rational miss probability, for every n <= 30 and every q.
@@ -437,26 +471,16 @@ class TestMaxDelta:
     @pytest.mark.parametrize("c", [Fraction(1, 20), Fraction(1, 5), Fraction(1, 3)])
     def test_matches_linear_scan_oracle(self, exact_grid, c, horizon):
         for n in range(1, 31):
-            # Replaced counts at delta = 0, 1, ... up to the horizon or
-            # total turnover, where eps = 1 misses every target.
-            alphas = [0]
-            while alphas[-1] < n and len(alphas) <= horizon:
-                alphas.append(replaced_count(n, churn_ratio(c, len(alphas))))
+            alphas = _churn_alphas(n, c, horizon)
             for q in range(1, n + 1):
                 eps = [exact_grid[n, alpha, q] for alpha in alphas]
                 for target in (Fraction(1, 2), Fraction(1, 10), Fraction(1, 100)):
                     args = (n, q, c, target, "exact", horizon)
-                    if eps[0] > target:
+                    want = _max_delta_scan(eps, target, horizon)
+                    if want is None:
                         with pytest.raises(InfeasibleError):
                             max_delta(*args)
                         continue
-                    over = next((d for d, e in enumerate(eps) if e > target), None)
-                    if over is None:
-                        want = MaxDeltaResult(horizon, eps[horizon], None, True)
-                    else:
-                        want = MaxDeltaResult(
-                            over - 1, eps[over - 1], eps[over], False
-                        )
                     assert max_delta(*args) == want, args
 
     def test_thousand_node_core_of_79(self):
@@ -537,6 +561,163 @@ class TestMaxDelta:
     def test_rejects_out_of_range(self, kwargs):
         with pytest.raises(ValueError):
             max_delta(**kwargs)
+
+
+def _size_scan(eps, target):
+    """The answer a linear scan over eps[q], q = 0, 1, ..., gives."""
+    return next(q for q, e in enumerate(eps) if e <= target)
+
+
+class TestRefitEdges:
+    # Both solvers evaluate a seed first and refit the paper's asymptote
+    # to its value.  Where that value is exactly 0 or 1 there is nothing
+    # to refit and the search starts at the seed; near an exact eps and
+    # below the double range only the comparison with the target
+    # decides.  In every case the answer is the linear scan's.  The
+    # seeds are the ones the solver docstrings give.
+    TARGETS_TIGHT = (Fraction(1, 10**3), Fraction(1, 10**6), Fraction(1, 10**12))
+    HORIZON = 10**7
+
+    @staticmethod
+    def _size_seed(n, alpha, target):
+        return min(max(round(n * math.sqrt(-math.log(target) / (n - alpha))), 1), n)
+
+    @classmethod
+    def _alpha_seed(cls, n, q, c, target):
+        top = replaced_count(n, churn_ratio(c, cls.HORIZON))
+        seed = round(n + n * n * math.expm1(math.log(target) / q) / q)
+        return min(max(seed, 1), top)
+
+    def test_size_seed_at_zero(self, exact_grid):
+        # eps(q0) = 0 where alpha < 2 q0 - n: every probe set meets a
+        # surviving core member.
+        hits = 0
+        for n in range(1, GRID_N + 1):
+            for alpha in range(n):
+                eps = [exact_grid[n, alpha, q] for q in range(n + 1)]
+                for target in self.TARGETS_TIGHT:
+                    hits += eps[self._size_seed(n, alpha, target)] == 0
+                    got = min_core_size(n, alpha, target, mode="exact")
+                    assert got.q == _size_scan(eps, target), (n, alpha, target)
+        assert hits > 1000
+
+    def test_size_seed_at_one(self, exact_grid, monkeypatch):
+        # With alpha < n, eps(q) < 1 for every q >= 1, so only a sum that
+        # rounds a value near 1 up to 1 reaches this branch.  Round every
+        # value that misses the target up to exactly 1: the answer stays,
+        # and every seed that misses gives ln eps = 0.  A seed misses at
+        # loose targets such as 1/2, where q0 is small and rounds down.
+        target = Fraction(1, 2)
+
+        def rounded(n, alpha, q, mode="auto"):
+            got = miss_probability(n, alpha, q, mode)
+            return got if got.epsilon <= target else replace(got, epsilon=Fraction(1))
+
+        monkeypatch.setattr("coreprobe.solvers.miss_probability", rounded)
+        hits = 0
+        for n in range(1, GRID_N + 1):
+            for alpha in range(n):
+                eps = [exact_grid[n, alpha, q] for q in range(n + 1)]
+                hits += eps[self._size_seed(n, alpha, target)] > target
+                got = min_core_size(n, alpha, target, mode="exact")
+                assert got.q == _size_scan(eps, target), (n, alpha)
+                assert got.epsilon_prev == 1
+        assert hits > 100
+
+    def test_size_targets_within_an_ulp(self, exact_grid):
+        # The target is an exact eps(q), the double nearest it, or the
+        # doubles one ulp either side, at 1500 seeded cells with n <= 60.
+        rng = random.Random(20261019)
+        checked = 0
+        while checked < 1500:
+            n = rng.randint(2, GRID_N)
+            alpha, q = rng.randrange(n), rng.randint(1, n)
+            at = exact_grid[n, alpha, q]
+            if not 0 < at < 1:
+                continue
+            eps = [exact_grid[n, alpha, k] for k in range(n + 1)]
+            near = float(at)
+            for target in (at, near, math.nextafter(near, 0), math.nextafter(near, 1)):
+                if 0 < target < 1:
+                    got = min_core_size(n, alpha, target, mode="exact")
+                    assert got.q == _size_scan(eps, target), (n, alpha, q, target)
+            checked += 1
+
+    def test_size_below_the_double_range(self):
+        # Every float eps near the answer underflows; ln eps decides.
+        target = Fraction(1, 10**400)
+        ln_target = -400 * math.log(10)
+        want = next(q for q in range(10_001)
+                    if miss_probability(10_000, 3000, q).log_epsilon <= ln_target)
+        assert want == 3164
+        assert min_core_size(10_000, 3000, target).q == want
+
+    def test_max_delta_seed_at_zero(self, exact_grid):
+        # eps(alpha0) = 0 where alpha0 < 2q - n.
+        hits = 0
+        c = Fraction(1, 20)
+        for n in range(1, 31):
+            alphas = _churn_alphas(n, c, self.HORIZON)
+            for q in range(1, n + 1):
+                eps = [exact_grid[n, alpha, q] for alpha in alphas]
+                for target in self.TARGETS_TIGHT:
+                    want = _max_delta_scan(eps, target, self.HORIZON)
+                    if want is None:
+                        continue
+                    hits += exact_grid[n, self._alpha_seed(n, q, c, target), q] == 0
+                    assert max_delta(n, q, c, target, "exact") == want, (n, q, target)
+        assert hits > 100
+
+    def test_max_delta_seed_at_one(self, exact_grid):
+        # eps(alpha0) = 1 where a loose target puts the seed at total
+        # turnover, alpha0 = n.
+        hits = 0
+        c = Fraction(1, 20)
+        for n in range(1, 31):
+            alphas = _churn_alphas(n, c, self.HORIZON)
+            for q in range(1, n + 1):
+                eps = [exact_grid[n, alpha, q] for alpha in alphas]
+                for target in (Fraction(1, 2), Fraction(3, 4), Fraction(9, 10)):
+                    want = _max_delta_scan(eps, target, self.HORIZON)
+                    if want is None:
+                        continue
+                    hits += self._alpha_seed(n, q, c, target) == n
+                    assert max_delta(n, q, c, target, "exact") == want, (n, q, target)
+        assert hits > 10
+
+    def test_max_delta_targets_within_an_ulp(self, exact_grid):
+        # The target is an exact eps on the churn path, the double
+        # nearest it, or the doubles one ulp either side, at 600 seeded
+        # cells with n <= 30.
+        rng = random.Random(20261020)
+        checked = 0
+        while checked < 600:
+            n = rng.randint(2, 30)
+            q = rng.randint(1, n)
+            c = rng.choice((Fraction(1, 20), Fraction(1, 5), Fraction(1, 3)))
+            alphas = _churn_alphas(n, c, self.HORIZON)
+            eps = [exact_grid[n, alpha, q] for alpha in alphas]
+            at = rng.choice(eps)
+            if not 0 < at < 1:
+                continue
+            near = float(at)
+            for target in (at, near, math.nextafter(near, 0), math.nextafter(near, 1)):
+                want = _max_delta_scan(eps, target, self.HORIZON)
+                if 0 < target < 1 and want is not None:
+                    got = max_delta(n, q, c, target, "exact")
+                    assert got == want, (n, q, c, target)
+            checked += 1
+
+    def test_max_delta_below_the_double_range(self):
+        c, target = Fraction(1, 1000), Fraction(1, 10**400)
+        ln_target = -400 * math.log(10)
+        over = next(
+            d for d in range(10**4)
+            if miss_probability(10_000, replaced_count(10_000, churn_ratio(c, d)),
+                                3164).log_epsilon > ln_target
+        )
+        assert over - 1 == 356
+        assert max_delta(10_000, 3164, c, target).delta == over - 1
 
 
 class TestInfeasibleMessages:
