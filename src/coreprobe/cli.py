@@ -321,8 +321,7 @@ def size(n, epsilon, p, alpha, cap_c, c_rate, delta, mode, as_json):
         return
     _echo(f"q = {result.q}")
     _echo(f"epsilon({result.q}) = {_fmt_prob(result.epsilon)}")
-    if result.epsilon_prev is not None:
-        _echo(f"epsilon({result.q - 1}) = {_fmt_prob(result.epsilon_prev)}")
+    _echo(f"epsilon({result.q - 1}) = {_fmt_prob(result.epsilon_prev)}")
 
 
 @main.command()
@@ -561,11 +560,10 @@ def simulate(n, q, alpha, cap_c, c_rate, delta, trials, seed, threads,
         _echo(f"misses = {report.misses}")
         _echo(f"epsilon_hat = {report.epsilon_hat:.6g}")
         _echo(f"ci99 = [{report.ci_low:.6g}, {report.ci_high:.6g}]")
-        if report.survivor_mean is not None:
-            _echo(
-                f"core survivors: mean = {report.survivor_mean:.6g}"
-                f"  stddev = {report.survivor_stddev:.6g}"
-            )
+        _echo(
+            f"core survivors: mean = {report.survivor_mean:.6g}"
+            f"  stddev = {report.survivor_stddev:.6g}"
+        )
         if rate is None:
             _echo(f"alpha (analytic) = {alpha}")
         _echo(f"epsilon_analytic = {cmp.epsilon_analytic:.6g}")

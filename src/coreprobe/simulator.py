@@ -8,8 +8,7 @@ Two models:
   surviving core member.
 * ``churn_process`` -- the per-time-unit mechanism: every unit,
   ceil(c*n) of the current nodes (original or joined) are replaced by
-  fresh ones; after delta units the probe is drawn.  This mode also
-  tracks how many core members survived each trial.
+  fresh ones; after delta units the probe is drawn.
 
 Only the q core slots decide a trial, and only through S, the number
 of them no batch has replaced.  A batch of r replaces
@@ -134,9 +133,9 @@ class TrialReport:
     """Aggregate of a simulation run.
 
     ``ci_low``/``ci_high`` bound the miss probability by the 99% Wilson
-    score interval.  Survivor statistics (count of core members never
-    replaced, per trial) are present for the churn process only;
-    ``survivor_stddev`` is the sample standard deviation.
+    score interval.  The survivor statistics count the core members never
+    replaced, per trial; ``survivor_stddev`` is the sample standard
+    deviation.
     """
 
     trials: int
@@ -144,8 +143,8 @@ class TrialReport:
     epsilon_hat: float
     ci_low: float
     ci_high: float
-    survivor_mean: float | None = None
-    survivor_stddev: float | None = None
+    survivor_mean: float
+    survivor_stddev: float
 
 
 @dataclass(frozen=True)
@@ -329,8 +328,7 @@ def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
     The law of the survivor count after every batch, in both models, is
     fetched once before any block.  Blocks run on up to ``threads`` worker
     threads, never more than there are blocks or CPUs, and their integer
-    outcomes are summed.  Survivor statistics are filled for the churn
-    process only.
+    outcomes are summed.
     """
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
@@ -353,18 +351,16 @@ def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
             results = list(pool.map(outcome, blocks))
     misses, surv_sum, surv_sumsq = (sum(column) for column in zip(*results))
     low, high = wilson_interval(misses, t)
-    survivors = {}
-    if config.model == "churn_process":
-        # Exact integer numerator: no cancellation however large q is.
-        var = (t * surv_sumsq - surv_sum**2) / (t * (t - 1)) if t > 1 else 0.0
-        survivors = dict(survivor_mean=surv_sum / t, survivor_stddev=math.sqrt(var))
+    # Exact integer numerator: no cancellation however large q is.
+    var = (t * surv_sumsq - surv_sum**2) / (t * (t - 1)) if t > 1 else 0.0
     return TrialReport(
         trials=t,
         misses=misses,
         epsilon_hat=misses / t,
         ci_low=low,
         ci_high=high,
-        **survivors,
+        survivor_mean=surv_sum / t,
+        survivor_stddev=math.sqrt(var),
     )
 
 

@@ -64,7 +64,7 @@ class CoreSizeResult:
 
     q: int
     epsilon: Probability            # miss probability at q (meets target)
-    epsilon_prev: Probability | None  # at q-1 (violates target); None if q == 0
+    epsilon_prev: Probability       # at q-1 >= 0 (violates target)
 
 
 @dataclass(frozen=True)
@@ -262,16 +262,18 @@ def max_delta(
     """Largest probe period whose derived miss probability meets the target.
 
     The churn ratio grows with delta, hence so does the replaced count
-    alpha and the miss probability, so one ``_first_true`` over delta
-    finds the first delta that misses the target.  Its guess comes from
-    one evaluation at the alpha where the mean survivor count
-    q (n - alpha) / n puts a with-replacement probe at epsilon_max: that
-    value refits kappa in ln eps ~ -kappa (n - alpha), and the refit
-    alpha maps to delta through log1p(-alpha / n) / log1p(-c).  Each
-    eps(alpha) is evaluated at most once, however many deltas share
-    that alpha.  Raises InfeasibleError when the static case
-    (delta = 0, nothing replaced) already violates the target; returns a
-    capped result when every delta up to ``horizon`` is still feasible.
+    alpha and the miss probability, so one ``_first_true`` over
+    (-1, horizon + 1] finds the first delta that misses the target.
+    Neither end is evaluated, and the answer carries both edge cases:
+    0 means even the static case (nothing replaced) misses, which
+    raises InfeasibleError; horizon + 1 means every delta up to
+    ``horizon`` meets it, which returns a capped result.  The search
+    starts from a guess that costs one evaluation at the alpha where the
+    mean survivor count q (n - alpha) / n puts a with-replacement probe
+    at epsilon_max: that value refits kappa in ln eps ~ -kappa (n - alpha),
+    and the refit alpha maps to delta through
+    log1p(-alpha / n) / log1p(-c).  Each eps(alpha) is evaluated at most
+    once, however many deltas share that alpha.
     """
     if not 0 < epsilon_max < 1:
         raise ValueError(f"epsilon_max must lie in (0, 1), got {epsilon_max}")
@@ -287,28 +289,15 @@ def max_delta(
 
     eps = functools.cache(lambda alpha: miss_probability(n, alpha, q, mode))
 
-    def meets(alpha: int) -> bool:
-        return _meets(eps(alpha), epsilon_max)
-
     def replaced(delta: int) -> int:
         return replaced_count(n, churn_ratio(c, delta))
 
-    if not meets(replaced(0)):
-        raise InfeasibleError(
-            f"even a static system (delta=0) exceeds epsilon={_show(epsilon_max)} "
-            f"at n={n}, q={q}"
-        )
-    # eps(n) = 1 misses every target, so it bounds the search unevaluated.
-    alpha_top = replaced(horizon)
-    if alpha_top < n and meets(alpha_top):
-        return MaxDeltaResult(
-            delta=horizon, epsilon=eps(alpha_top).epsilon, epsilon_next=None, capped=True
-        )
     # Seed alpha where the mean survivor count s = q (n - alpha) / n
     # gives (1 - s/n)^q = epsilon_max, refit kappa in ln eps ~
     # -kappa (n - alpha) to the seed's own value, and guess the first
     # delta whose churn ratio passes the refit alpha / n.
     ln_target = _ln(epsilon_max)
+    alpha_top = replaced(horizon)
     seed = min(max(round(n + n * n * math.expm1(ln_target / q) / q), 1), alpha_top)
     alpha = seed
     ln_seed = _ln_epsilon(eps(seed))
@@ -316,10 +305,19 @@ def max_delta(
         alpha = n - (n - seed) * ln_target / ln_seed
     alpha = min(max(alpha, 0), n - 1)
     guess = math.floor(math.log1p(-alpha / n) / math.log1p(-float(c))) + 1
-    over = _first_true(lambda d: not meets(replaced(d)), min(guess, horizon), 0, horizon)
+    over = _first_true(
+        lambda d: not _meets(eps(replaced(d)), epsilon_max),
+        min(guess, horizon + 1), -1, horizon + 1,
+    )
+    if over == 0:
+        raise InfeasibleError(
+            f"even a static system (delta=0) exceeds epsilon={_show(epsilon_max)} "
+            f"at n={n}, q={q}"
+        )
+    capped = over > horizon
     return MaxDeltaResult(
         delta=over - 1,
         epsilon=eps(replaced(over - 1)).epsilon,
-        epsilon_next=eps(replaced(over)).epsilon,
-        capped=False,
+        epsilon_next=None if capped else eps(replaced(over)).epsilon,
+        capped=capped,
     )

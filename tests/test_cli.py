@@ -4,6 +4,7 @@ import decimal
 import gc
 import io
 import json
+import math
 import time
 import tracemalloc
 import weakref
@@ -15,7 +16,8 @@ import pytest
 from click.testing import CliRunner
 
 from coreprobe import (
-    MissProbability, churn_ratio, miss_probability, min_core_size, replaced_count,
+    AnalyticComparison, MissProbability, TrialReport, churn_ratio, miss_probability,
+    min_core_size, replaced_count,
 )
 from coreprobe.cli import (
     MAX_SWEEP_POINTS, _csv_cell, _emit_json, _fmt_prob, _rational, main, parse_ratio,
@@ -367,6 +369,11 @@ class TestTable:
             runner, "table", "--n", "100", "--csv", "--json"
         ).exit_code == 2
 
+    def test_empty_list_exits_2(self, runner):
+        result = invoke(runner, "table", "--n", ",")
+        assert result.exit_code == 2
+        assert "empty --n list" in result.output
+
     def test_text_mode_has_aligned_header(self, runner):
         result = invoke(runner, "table", "--n", "100", "--p", "99%", "--C", "static")
         assert result.exit_code == 0, result.output
@@ -451,6 +458,14 @@ class TestSweep:
     def test_usage_errors_exit_2(self, runner, args):
         assert invoke(runner, *args).exit_code == 2
 
+    def test_ratio_range_without_step_exits_2(self, runner):
+        result = invoke(
+            runner, "sweep", "C", "--n", "1000", "--q", "79",
+            "--start", "10%", "--stop", "20%",
+        )
+        assert result.exit_code == 2
+        assert "C sweep needs an explicit --step" in result.output
+
     def test_oversized_range_exits_2_before_building_points(self, runner):
         # 10^9 + 1 points: the count is checked before any point exists,
         # so the call fails fast and its peak allocation stays far below
@@ -523,7 +538,11 @@ class TestSimulate:
         assert record["model"] == "urn"
         assert record["epsilon_analytic"] == 0.68
         assert record["ci_low"] <= 0.68 <= record["ci_high"]
-        assert record["survivor_mean"] is None
+        # Survivors of the 2 core slots: mean q (n - alpha) / n = 1 and
+        # variance alpha (q/n) (1 - q/n) (n - alpha)/(n - 1) = 0.4.
+        se = math.sqrt(0.4 / record["trials"])
+        assert abs(record["survivor_mean"] - 1.0) <= 3 * se
+        assert record["survivor_stddev"] == pytest.approx(math.sqrt(0.4), rel=0.02)
         assert abs(record["z_score"]) < 3
         assert record["flagged"] is False
         assert canonical_json(result.output) == result.output
@@ -586,7 +605,26 @@ class TestSimulate:
     def test_check_flag_passes_clean_runs(self, runner):
         args = ["simulate", "--n", "6", "--q", "2", "--alpha", "3",
                 "--trials", "50000", "--check"]
-        assert invoke(runner, *args).exit_code == 0
+        result = invoke(runner, *args)
+        assert result.exit_code == 0
+        assert "core survivors: mean = " in result.output
+
+    def test_check_flag_exits_4_on_a_finite_z_beyond_3(self, runner, monkeypatch):
+        def far(config, threads):
+            report = TrialReport(
+                trials=100, misses=50, epsilon_hat=0.5, ci_low=0.4, ci_high=0.6,
+                survivor_mean=1.0, survivor_stddev=0.5,
+            )
+            return AnalyticComparison(report, epsilon_analytic=0.25, z_score=5.0,
+                                      flagged=True)
+
+        monkeypatch.setattr("coreprobe.cli.compare_with_analytic", far)
+        result = invoke(
+            runner, "simulate", "--n", "10", "--q", "2", "--alpha", "1",
+            "--trials", "100", "--check",
+        )
+        assert result.exit_code == 4
+        assert "z-check failed: |z| = 5 > 3" in result.stderr
 
     def test_undefined_z_is_null_in_strict_json(self, runner, monkeypatch):
         # After two single replacements the process can still miss, and

@@ -488,3 +488,29 @@ class TestModelGap:
         groups = ((r, delta),)
         assert _process_miss_probability(n, q - 1, groups) > epsilon
         assert _process_miss_probability(n, q, groups) <= epsilon
+
+
+class TestProcessMonotone:
+    def test_process_is_monotone_in_q_and_in_batches(self):
+        # A solver over the process, like min_core_size and max_delta over
+        # the urn, needs its exact miss probability to fall with q and to
+        # rise with each batch.  Checked on every q at n <= 12 against
+        # the inclusion-exclusion reference, which the law must match.
+        for n in range(1, 13):
+            for r in (1, 2, 3):
+                if r > n:
+                    continue
+                grid = [
+                    [helpers.churn_miss_probability_reference(n, q, [r] * k)
+                     for q in range(n + 1)]
+                    for k in range(7)
+                ]
+                for k, row in enumerate(grid):
+                    assert all(b <= a for a, b in zip(row, row[1:])), (n, r, k)
+                    if k:
+                        assert all(b >= a for a, b in zip(grid[k - 1], row)), (n, r, k)
+                    groups = ((r, k),) if k else ()
+                    for q in range(1, n + 1):
+                        got = _process_miss_probability(n, q, groups)
+                        assert got == pytest.approx(float(row[q]), rel=1e-12, abs=0), (
+                            n, r, k, q)

@@ -203,6 +203,11 @@ class TestDrawSubsets:
         with pytest.raises(ValueError):
             draw_subsets(5, 2, 0)
 
+    @pytest.mark.parametrize("n", [0, 2**31])
+    def test_rejects_population_outside_the_int32_range(self, n):
+        with pytest.raises(ValueError, match=r"n must lie in \[1, 2\^31\)"):
+            draw_subsets(n, 0, 1)
+
 
 def _within_4_sigma(count, trials, p):
     mean = trials * p
@@ -417,10 +422,17 @@ class TestUrnModel:
         probe_everything = run_trials(_urn(12, 12, 3, 5000))
         assert probe_everything.misses == 0
 
-    def test_no_survivor_statistics(self):
-        report = run_trials(_urn(6, 2, 3, 1000))
-        assert report.survivor_mean is None
-        assert report.survivor_stddev is None
+    def test_survivor_mean_matches_the_exact_urn_mean(self):
+        # alpha of n nodes replaced leave Hypergeometric survivors among
+        # the q core slots: mean q (n - alpha) / n = 55.3 and variance
+        # alpha (q/n) (1 - q/n) (n - alpha)/(n - 1), sd about 3.91.
+        n, q, alpha, trials = 1000, 79, 300, 100_000
+        report = run_trials(_urn(n, q, alpha, trials))
+        mean = q * (n - alpha) / n
+        sd = math.sqrt(alpha * q / n * (1 - q / n) * (n - alpha) / (n - 1))
+        assert mean == pytest.approx(55.3) and sd == pytest.approx(3.91, abs=5e-3)
+        assert abs(report.survivor_mean - mean) <= 3 * sd / math.sqrt(trials)
+        assert report.survivor_stddev == pytest.approx(sd, rel=0.02)
 
 
 class TestChurnProcess:
