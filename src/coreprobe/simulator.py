@@ -21,7 +21,9 @@ comes from its exact law after every batch, which ``persistence``
 builds once per batch schedule and keeps for runs at any seed: one
 multinomial draw over the law gives how many trials of a block hold
 each S.  The probe is then simulated draw by draw (``_probe_misses``),
-each draw with its own hit chance, so no closed form is computed here:
+each draw with its own hit chance, its first round over the whole block
+in place and later rounds over the few trials still undecided, so no
+closed form is computed here:
 neither the chance m(s) = C(n - s, q)/C(n, q) that a probe avoids s
 survivors nor any product of per-draw chances.  The law and both exact
 references are imported from ``persistence``, and the churn reference
@@ -300,6 +302,11 @@ def _probe_misses(
     trial misses when a gap carries it past draw k - 1.  S + q > n
     forces a hit and k = 0 a miss; otherwise k <= n/2, so a candidate
     is a hit with chance at least about 1/2 and few rounds finish.
+
+    The first round runs over the whole block in place, in S order:
+    one uniform per candidate inside its window, and only the trials
+    it rejects go on, each with its index ``who`` into the per-S
+    tables.  Memory stays O(16384) values per block.
     """
     import numpy as np
 
@@ -307,18 +314,32 @@ def _probe_misses(
     misses = int(counts[k == 0].sum())
     live = (k > 0) & (values <= n - q)
     k, per = k[live], counts[live]
+    limit = n - k + 1
     # With rate = -ln(1 - top), a gap of floor(E/rate) + 1 draws, E
     # standard exponential, is geometric with success chance top.
-    rate = np.repeat(-np.log1p(-np.maximum(values[live], q) / (n - k + 1)), per)
-    k = np.repeat(k, per)
-    draw = np.full(len(k), -1, dtype=np.int64)
-    while len(k):
-        draw += (rng.standard_exponential(len(k)) / rate).astype(np.int64) + 1
-        inside = draw < k
-        misses += len(k) - int(np.count_nonzero(inside))
-        draw, k, rate = draw[inside], k[inside], rate[inside]
-        rejected = rng.random(len(k)) * (n - draw) >= n - k + 1
-        draw, k, rate = draw[rejected], k[rejected], rate[rejected]
+    rate = -np.log1p(-np.maximum(values[live], q) / limit)
+    # Round one, from draw -1.  Every value is an integer below 2^53, so
+    # the float draw and its comparisons are exact.
+    draw = rng.standard_exponential(int(per.sum()))
+    draw /= np.repeat(rate, per)
+    np.floor(draw, out=draw)
+    inside = draw < np.repeat(k, per)
+    candidates = int(np.count_nonzero(inside))
+    misses += len(draw) - candidates
+    chance = np.zeros(len(draw))
+    chance[inside] = rng.random(candidates)
+    # A trial outside keeps chance 0 and never goes on: n - k + 1 >= 1.
+    chance *= n - draw
+    go_on = np.flatnonzero(chance >= np.repeat(limit, per))
+    who = np.searchsorted(np.cumsum(per), go_on, side="right")
+    draw = draw[go_on].astype(np.int64)
+    while len(who):
+        draw += (rng.standard_exponential(len(who)) / rate[who]).astype(np.int64) + 1
+        inside = draw < k[who]
+        misses += len(who) - int(np.count_nonzero(inside))
+        draw, who = draw[inside], who[inside]
+        rejected = rng.random(len(who)) * (n - draw) >= limit[who]
+        draw, who = draw[rejected], who[rejected]
     return misses
 
 

@@ -12,6 +12,9 @@ simulator's earlier per-unit schedule, kept to pin the grouped batch
 sizes.  ``logspace_full_sum_reference`` is the earlier logspace loop of
 ``miss_probability``, which summed every term; it takes ``ln_binomial``
 from the package, so a disagreement points at the loop.
+``probe_misses_reference`` is the simulator's earlier round-by-round
+probe loop, which compacted every round, kept to pin the in-place first
+round draw for draw.
 """
 
 from __future__ import annotations
@@ -276,3 +279,28 @@ def churn_miss_probability_reference(n: int, q: int, batches: list[int]) -> Frac
             term *= Fraction(math.comb(n - i, r), math.comb(n, r)) ** count
         total += -term if i % 2 else term
     return total
+
+
+def probe_misses_reference(
+    rng: np.random.Generator, n: int, q: int, values: np.ndarray, counts: np.ndarray
+) -> int:
+    """Misses of ``simulator._probe_misses``, round by round.
+
+    The earlier loop, kept verbatim: every round compacts the block's
+    per-trial draw, k and rate to the trials still undecided.
+    """
+    k = np.minimum(values, q)
+    misses = int(counts[k == 0].sum())
+    live = (k > 0) & (values <= n - q)
+    k, per = k[live], counts[live]
+    rate = np.repeat(-np.log1p(-np.maximum(values[live], q) / (n - k + 1)), per)
+    k = np.repeat(k, per)
+    draw = np.full(len(k), -1, dtype=np.int64)
+    while len(k):
+        draw += (rng.standard_exponential(len(k)) / rate).astype(np.int64) + 1
+        inside = draw < k
+        misses += len(k) - int(np.count_nonzero(inside))
+        draw, k, rate = draw[inside], k[inside], rate[inside]
+        rejected = rng.random(len(k)) * (n - draw) >= n - k + 1
+        draw, k, rate = draw[rejected], k[rejected], rate[rejected]
+    return misses

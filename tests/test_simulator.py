@@ -38,6 +38,7 @@ from helpers import (
     churn_miss_probability_reference,
     churn_trials_reference,
     floyd_hits_reference,
+    probe_misses_reference,
     replacement_schedule_reference,
     selection_hits_reference,
     survivor_law_reference,
@@ -851,6 +852,62 @@ class TestProbe:
             lambda seed, block: Unhypergeometric(_block_rng(seed, block)),
         )
         assert [run_trials(cfg) for cfg in configs] == expected
+
+
+class TestProbeMisses:
+    # The probe loop against the earlier round-by-round loop kept in
+    # helpers: the same misses, and the generator left in the same state,
+    # so every later draw of a block is unchanged too.
+    @staticmethod
+    def _assert_same(seed, n, q, values, counts, law=None):
+        # With a law, ``values`` is its lowest S and the block first
+        # draws its counts from it, as ``_block_outcome`` does.
+        rng, ref = _block_rng(seed, 0), _block_rng(seed, 0)
+        if law is not None:
+            held = rng.multinomial(16384, law)
+            ref.multinomial(16384, law)
+            at = np.flatnonzero(held)
+            values, counts = values + at, held[at]
+        values = np.asarray(values, dtype=np.int64)
+        counts = np.asarray(counts, dtype=np.int64)
+        misses = simulator._probe_misses(rng, n, q, values, counts)
+        assert misses == probe_misses_reference(ref, n, q, values, counts)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        return misses
+
+    @pytest.mark.parametrize(
+        "config",
+        [_urn(1000, 79, 300, 1), _churn(1000, 79, 0.003, 100, 1)],
+        ids=["mc-urn", "mc-churn"],
+    )
+    def test_equals_the_round_by_round_loop(self, config):
+        n, q = config.n, config.q
+        lo, law = persistence._law(n, q, _replacement_units(config))
+        law = law / law.sum()
+        for seed in range(200):
+            self._assert_same(seed, n, q, lo, None, law)
+
+    @pytest.mark.parametrize("n, q, s", TestProbe._CELLS)
+    def test_point_laws_equal_the_round_by_round_loop(self, n, q, s):
+        for seed in range(8):
+            self._assert_same(seed, n, q, [s], [16384])
+
+    def test_edge_laws_equal_the_round_by_round_loop(self):
+        n, q = 40, 25
+        # S = 0 (a certain miss), S > n - q (a certain hit) and live S.
+        mixed = ([0, 1, 3, 8, 15, 16, 30], [2000, 1000, 5000, 4000, 3000, 1000, 384])
+        for seed in range(20):
+            self._assert_same(seed, n, q, *mixed)
+            # A block of one trial.
+            self._assert_same(seed, n, q, [seed % 16 + 1], [1])
+        # No live S: every trial is decided before the first draw.
+        assert self._assert_same(0, n, q, [0, 16, 40], [100, 200, 300]) == 100
+        # n = 10^9 - 1, the largest population, with windows of up to
+        # 4*10^8 draws.
+        n, q = 10**9 - 1, 4 * 10**8
+        wide = ([1, 2, 10, 10**3, 10**6, 10**8, 5 * 10**8], [4000] * 6 + [384])
+        for seed in range(8):
+            self._assert_same(seed, n, q, *wide)
 
 
 class TestCompareWithAnalytic:
