@@ -39,6 +39,7 @@ identical reports no matter how many worker threads run the blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -49,6 +50,7 @@ if TYPE_CHECKING:  # numpy loads only when a function here runs
     import numpy as np
 
 from .persistence import (
+    _Groups,
     _check_int,
     _check_urn,
     _law,
@@ -385,6 +387,17 @@ def run_trials(config: TrialConfig, threads: int = 1) -> TrialReport:
     )
 
 
+@functools.lru_cache(maxsize=1)
+def _reference(n: int, q: int, alpha: int | None, groups: _Groups) -> float:
+    """The exact miss probability a run is tested against, cached like
+    ``_law`` for the last scenario: the closed form at ``alpha`` for the
+    urn model, else (``alpha`` None) the process's own value over the
+    survivor law of ``groups``."""
+    if alpha is not None:
+        return float(miss_probability(n, alpha, q).epsilon)
+    return _process_miss_probability(n, q, groups)
+
+
 def compare_with_analytic(config: TrialConfig, threads: int = 1) -> AnalyticComparison:
     """Run the configured simulation and z-test it against its exact value.
 
@@ -393,13 +406,11 @@ def compare_with_analytic(config: TrialConfig, threads: int = 1) -> AnalyticComp
     probability of the process itself, summed over the one survivor law
     the trials draw from, so a correct run of either model is flagged only
     by chance.  The standard error uses the analytic value (the null
-    hypothesis).
+    hypothesis).  The exact value is cached for the last scenario, so
+    runs at a new seed or trial count reuse it.
     """
     report = run_trials(config, threads)
-    if config.model == "urn":
-        eps = float(miss_probability(config.n, config.alpha, config.q).epsilon)
-    else:
-        eps = _process_miss_probability(config.n, config.q, _replacement_units(config))
+    eps = _reference(config.n, config.q, config.alpha, _replacement_units(config))
     se = math.sqrt(eps * (1.0 - eps) / config.trials)
     diff = report.epsilon_hat - eps
     z = diff / se if se else (0.0 if diff == 0.0 else None)

@@ -122,6 +122,29 @@ def _meets(result: MissProbability, target: Probability) -> bool:
     return result.epsilon <= target
 
 
+def _ln_eps_estimate(n: int, alpha: int, q: int) -> float:
+    """O(1) second-order estimate of ln eps(n, alpha, q), to aim a search.
+
+    The survivor count S is hypergeometric with mean mu = q (n - alpha) / n
+    and variance v = q (alpha/n) ((n - alpha)/n) (n - q) / (n - 1), and a
+    probe of q misses s survivors with chance exp(g(s)), where
+    g(s) = ln C(n - s, q) - ln C(n, q), taken at real s through lgamma.
+    The estimate is g(mu) + v (g'^2 + g'') / 2, from central differences
+    at mu +- 1/2; -inf where n - s - q + 1 <= 0 at s = mu + 1/2.
+    """
+    mu = q * (n - alpha) / n
+    if n - mu - q + 0.5 <= 0:
+        return -math.inf
+    v = q * (alpha / n) * ((n - alpha) / n) * (n - q) / (n - 1) if n > 1 else 0.0
+
+    def g(s: float) -> float:
+        return math.lgamma(n - s + 1) - math.lgamma(n - s - q + 1)
+
+    low, mid, high = g(mu - 0.5), g(mu), g(mu + 0.5)
+    g1, g2 = high - low, 4 * (high - 2 * mid + low)
+    return mid - math.lgamma(n + 1) + math.lgamma(n - q + 1) + v * (g1 * g1 + g2) / 2
+
+
 def _first_true(pred: Callable[[int], bool], guess: int, lo: int, hi: float) -> int:
     """Smallest x in (lo, hi] where the monotone ``pred`` turns true.
 
@@ -163,13 +186,17 @@ def min_core_size(
     evaluating either end.  The paper's asymptote
     eps ~ exp(-q^2 (1-C) / n) gives the seed
     q0 = n sqrt(ln(1/epsilon_max) / (n - alpha)), clamped to [1, n].
-    eps(q0) is evaluated first: its verdict puts the answer on one side
-    of q0, and its value refits kappa in ln eps ~ -kappa q^2, so the
-    search starts at ceil(q0 sqrt(ln epsilon_max / ln eps(q0))) on that
-    side (at q0 itself where eps(q0) is 0 or 1).  The guess only places
-    the search; the answer and its witnesses come from the monotone
-    test.  Each eps(q) is evaluated at most once, 3 times in all when
-    the guess lands next to the answer.
+    Twice, kappa in ln eps ~ -kappa q^2 is refit to the O(1) estimate
+    est of ln eps at the seed (``_ln_eps_estimate``), which moves it to
+    floor(q0 sqrt(ln epsilon_max / est)): at or just below the answer.
+    eps at that seed q1 is evaluated first: its verdict puts the answer
+    on one side of q1, and its value refits kappa again, so the search
+    starts at ceil(q1 sqrt(ln epsilon_max / ln eps(q1))) on that side
+    (at q1 itself where eps(q1) is 0 or 1).  The estimate and the guess
+    only place the search; the answer and its witnesses come from the
+    monotone test.  Each eps(q) is evaluated at most once, 2 times in
+    all (the witness pair) when q1 lands on the answer or next to it,
+    as at every default ``table`` cell.
     Raises InfeasibleError when alpha = n: every initial node was
     replaced, so no probe can find a core member.
     """
@@ -185,8 +212,13 @@ def min_core_size(
     eps = functools.cache(lambda q: miss_probability(n, alpha, q, mode))
     ln_target = _ln(epsilon_max)
     seed = min(max(round(n * math.sqrt(-ln_target / (n - alpha))), 1), n)
+    # Aim the seed: refit kappa twice to the estimate of ln eps there.
+    for _ in range(2):
+        est = _ln_eps_estimate(n, alpha, seed)
+        if -math.inf < est < 0:
+            seed = min(max(math.floor(seed * math.sqrt(ln_target / est)), 1), n)
     lo, hi = (0, seed) if _meets(eps(seed), epsilon_max) else (seed, n)
-    # Refit kappa in ln eps ~ -kappa q^2 to the seed's own value.
+    # Refit kappa once more, to the seed's own value.
     ln_seed = _ln_epsilon(eps(seed))
     guess = seed
     if -math.inf < ln_seed < 0:
@@ -268,12 +300,15 @@ def max_delta(
     0 means even the static case (nothing replaced) misses, which
     raises InfeasibleError; horizon + 1 means every delta up to
     ``horizon`` meets it, which returns a capped result.  The search
-    starts from a guess that costs one evaluation at the alpha where the
-    mean survivor count q (n - alpha) / n puts a with-replacement probe
-    at epsilon_max: that value refits kappa in ln eps ~ -kappa (n - alpha),
-    and the refit alpha maps to delta through
+    starts from a guess that costs one evaluation.  The alpha seed is
+    where the mean survivor count q (n - alpha) / n puts a
+    with-replacement probe at epsilon_max, refit twice to the O(1)
+    estimate of ln eps (``_ln_eps_estimate``) under
+    ln eps ~ -kappa (n - alpha).  eps at that seed refits kappa once
+    more, and the refit alpha maps to delta through
     log1p(-alpha / n) / log1p(-c).  Each eps(alpha) is evaluated at most
-    once, however many deltas share that alpha.
+    once, however many deltas share that alpha: about 2.8 times per
+    solve on the benchmark's lifetime queries.
     """
     if not 0 < epsilon_max < 1:
         raise ValueError(f"epsilon_max must lie in (0, 1), got {epsilon_max}")
@@ -294,11 +329,16 @@ def max_delta(
 
     # Seed alpha where the mean survivor count s = q (n - alpha) / n
     # gives (1 - s/n)^q = epsilon_max, refit kappa in ln eps ~
-    # -kappa (n - alpha) to the seed's own value, and guess the first
-    # delta whose churn ratio passes the refit alpha / n.
+    # -kappa (n - alpha) twice to the estimate and once to the seed's
+    # own value, and guess the first delta whose churn ratio passes the
+    # refit alpha / n.
     ln_target = _ln(epsilon_max)
     alpha_top = replaced(horizon)
     seed = min(max(round(n + n * n * math.expm1(ln_target / q) / q), 1), alpha_top)
+    for _ in range(2):
+        est = _ln_eps_estimate(n, seed, q)
+        if -math.inf < est < 0:
+            seed = min(max(round(n - (n - seed) * ln_target / est), 1), alpha_top)
     alpha = seed
     ln_seed = _ln_epsilon(eps(seed))
     if -math.inf < ln_seed < 0:

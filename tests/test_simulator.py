@@ -1014,6 +1014,26 @@ class TestCompareWithAnalytic:
         assert _replacement_units(cfg) != ((1, 40),)
         assert builds == [(200, 20, _replacement_units(cfg))]
 
+    @pytest.mark.parametrize(
+        "cfg", [_urn(1000, 79, 300, 1000), _churn(1000, 79, 0.003, 100, 1000)],
+        ids=["urn", "churn"],
+    )
+    def test_seed_and_trials_reuse_the_reference(self, cfg, monkeypatch):
+        # The exact reference is cached like the law, so runs at a new
+        # seed or trial count reuse it, and the cached value is the one
+        # the closed form or the process sum gives.
+        got = compare_with_analytic(cfg).epsilon_analytic
+        urn = _spy(monkeypatch, simulator, "miss_probability")
+        process = _spy(monkeypatch, simulator, "_process_miss_probability")
+        for again in (replace(cfg, seed=7), replace(cfg, trials=2000)):
+            assert compare_with_analytic(again).epsilon_analytic == got
+        assert urn == [] and process == []
+        monkeypatch.undo()
+        if cfg.model == "urn":
+            assert got == float(miss_probability(1000, 300, 79).epsilon)
+        else:
+            assert got == persistence._process_miss_probability(1000, 79, ((3, 100),))
+
     def test_one_schedule_shares_the_law_across_models(self, monkeypatch):
         # The urn's batch of alpha = 300 and one churn unit of c*n = 300
         # are the same schedule, so the second run reuses the first law.

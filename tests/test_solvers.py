@@ -23,7 +23,7 @@ from coreprobe import (
     miss_probability,
     replaced_count,
 )
-from coreprobe.solvers import _RATIO_SLACK, _first_true
+from coreprobe.solvers import _RATIO_SLACK, _first_true, _ln_eps_estimate
 
 from conftest import GRID_N
 
@@ -201,10 +201,20 @@ _CORE_SIZE_ANCHORS = [
 ]
 
 
+# The 30 cells of ``coreprobe table`` at its defaults: (n, C, target).
+_TABLE_CELLS = [
+    (n, ratio, target)
+    for n in (1000, 10_000, 100_000)
+    for target in (Fraction(1, 100), Fraction(1, 1000))
+    for ratio in (0, Fraction(1, 10), Fraction(3, 10), Fraction(3, 5), Fraction(4, 5))
+]
+
+
 class TestSolverEvaluations:
     # Each solve evaluates a given (n, alpha, q) at most once.  The
-    # refit guess reaches every core-size anchor in 3 evaluations: the
-    # seed and the witness pair.
+    # second-order estimate aims the first evaluation at the answer or
+    # next to it, so every core-size anchor and table cell takes 2
+    # evaluations: the witness pair.
     @pytest.fixture()
     def calls(self, monkeypatch):
         seen = []
@@ -220,7 +230,12 @@ class TestSolverEvaluations:
     def test_min_core_size_anchor_budget(self, calls, n, ratio, target, want):
         assert min_core_size(n, replaced_count(n, ratio), target).q == want
         assert len(calls) == len(set(calls))
-        assert len(calls) <= 3
+        assert len(calls) <= 2
+
+    @pytest.mark.parametrize("n,ratio,target", _TABLE_CELLS)
+    def test_min_core_size_table_cell_takes_its_witness_pair(self, calls, n, ratio, target):
+        got = min_core_size(n, replaced_count(n, ratio), target)
+        assert sorted(q for _, _, q in calls) == [got.q - 1, got.q]
 
     def test_min_core_size_never_repeats_an_evaluation(self, calls):
         for n in (1, 2, 7, 60, 500):
@@ -236,7 +251,7 @@ class TestSolverEvaluations:
     @pytest.mark.parametrize(
         "args,kwargs,budget",
         [
-            ((1000, 79, 1e-3, Fraction(1, 100)), {}, 4),
+            ((1000, 79, 1e-3, Fraction(1, 100)), {}, 2),
             ((10_000, 274, 1e-3, Fraction(1, 1000)), {}, 3),
             ((50, 50, 0.01, Fraction(1, 2)), {}, 2),
             ((50, 50, 0.01, Fraction(1, 2)), {"horizon": 100}, 1),
@@ -248,14 +263,14 @@ class TestSolverEvaluations:
 
     def test_max_delta_tiny_rate_budget(self, calls):
         # At c = 10^-6 the answer is past 1.6 million time units; one
-        # search in delta, started from the refit, still needs few
-        # evaluations.
+        # search in delta, aimed by the estimate and started from the
+        # refit, evaluates only the witness pair.
         got = max_delta(1_000_000, 6000, 1e-6, Fraction(1, 1000))
         assert got.delta == 1_652_031
         assert not got.capped
         assert got.epsilon <= Fraction(1, 1000) < got.epsilon_next
         assert len(calls) == len(set(calls))
-        assert len(calls) <= 4
+        assert len(calls) <= 2
 
     @pytest.mark.parametrize(
         "args,kwargs",
@@ -271,6 +286,68 @@ class TestSolverEvaluations:
         max_delta(*args, **kwargs)
         assert calls
         assert len(calls) == len(set(calls))
+
+
+def _ln_eps(n, alpha, q):
+    """ln eps: from the exact rational up to n = 2000, the logspace log above."""
+    got = miss_probability(n, alpha, q)
+    if got.log_epsilon is not None:
+        return got.log_epsilon
+    eps = got.epsilon
+    return math.log(eps.numerator) - math.log(eps.denominator)
+
+
+class TestLnEpsEstimate:
+    # The O(1) estimate only aims the solvers' first evaluation; these
+    # tests pin how close it lands and that answers never depend on it.
+    def test_worst_error_at_the_anchors_and_table_cells(self):
+        # At both witnesses of every anchor and default table cell.  The
+        # worst, 0.0166, is at (1000, 80%, 99.9%), q = 182.
+        cells = {(n, r, t) for n, r, t, _ in _CORE_SIZE_ANCHORS} | set(_TABLE_CELLS)
+        worst = 0.0
+        for n, ratio, target in cells:
+            alpha = replaced_count(n, ratio)
+            q = min_core_size(n, alpha, target).q
+            for at in (q - 1, q):
+                worst = max(worst, abs(_ln_eps_estimate(n, alpha, at) - _ln_eps(n, alpha, at)))
+        assert worst <= 0.017
+
+    def test_exact_when_nothing_is_replaced(self):
+        # alpha = 0 leaves S = q with variance 0: the estimate is
+        # ln C(n - q, q) - ln C(n, q) itself.
+        for n, q in ((10, 3), (100, 20), (1000, 79), (1000, 400)):
+            assert _ln_eps_estimate(n, 0, q) == pytest.approx(_ln_eps(n, 0, q), rel=1e-12)
+
+    def test_minus_infinity_where_every_probe_hits_a_survivor(self, exact_grid):
+        # eps = 0 exactly when alpha < 2q - n; then S >= q - alpha > n - q.
+        zeros = 0
+        for (n, alpha, q), eps in exact_grid.items():
+            if eps == 0:
+                zeros += 1
+                assert _ln_eps_estimate(n, alpha, q) == -math.inf, (n, alpha, q)
+        assert zeros > 10_000
+
+    def test_size_grid_answers_are_minimal(self):
+        # 12 log-spaced n from 10 to 10^6, 7 churn ratios and 7 targets:
+        # every witness pair is recomputed and straddles the target, so
+        # by monotonicity in q each answer is the minimal one.
+        ns = sorted({round(10 ** (1 + 5 * i / 11)) for i in range(12)})
+        ratios = [Fraction(x, 100) for x in (0, 10, 30, 60, 80, 95, 99)]
+        targets = [Fraction(1, 2)] + [Fraction(1, 10**k) for k in range(2, 13, 2)]
+        solved = 0
+        for n in ns:
+            for ratio in ratios:
+                alpha = replaced_count(n, ratio)
+                if alpha == n:
+                    continue
+                for target in targets:
+                    got = min_core_size(n, alpha, target)
+                    at = miss_probability(n, alpha, got.q).epsilon
+                    before = miss_probability(n, alpha, got.q - 1).epsilon
+                    assert (got.epsilon, got.epsilon_prev) == (at, before)
+                    assert at <= target < before, (n, ratio, target)
+                    solved += 1
+        assert solved == 560
 
 
 class TestDeltaForChurn:
@@ -573,26 +650,33 @@ def _size_scan(eps, target):
 
 
 class TestRefitEdges:
-    # Both solvers evaluate a seed first and refit the paper's asymptote
-    # to its value.  Where that value is exactly 0 or 1 there is nothing
-    # to refit and the search starts at the seed; near an exact eps and
-    # below the double range only the comparison with the target
-    # decides.  In every case the answer is the linear scan's.  The
-    # seeds are the ones the solver docstrings give.
+    # Both solvers evaluate an aimed seed first and refit the paper's
+    # asymptote to its value.  Where that value is exactly 0 or 1 there
+    # is nothing to refit and the search starts at the seed; near an
+    # exact eps and below the double range only the comparison with the
+    # target decides.  In every case the answer is the linear scan's.
+    # The seed is the first (n, alpha, q) the solver evaluates, read by
+    # a spy on ``miss_probability``.
     TARGETS_TIGHT = (Fraction(1, 10**3), Fraction(1, 10**6), Fraction(1, 10**12))
     HORIZON = 10**7
 
-    @staticmethod
-    def _size_seed(n, alpha, target):
-        return min(max(round(n * math.sqrt(-math.log(target) / (n - alpha))), 1), n)
+    @pytest.fixture()
+    def solve(self, monkeypatch):
+        """Runs a solver; returns its result and its first evaluated (alpha, q)."""
+        calls = []
 
-    @classmethod
-    def _alpha_seed(cls, n, q, c, target):
-        top = replaced_count(n, churn_ratio(c, cls.HORIZON))
-        seed = round(n + n * n * math.expm1(math.log(target) / q) / q)
-        return min(max(seed, 1), top)
+        def spy(n, alpha, q, mode="auto"):
+            calls.append((alpha, q))
+            return miss_probability(n, alpha, q, mode)
 
-    def test_size_seed_at_zero(self, exact_grid):
+        def solve(solver, *args):
+            calls.clear()
+            return solver(*args), calls[0]
+
+        monkeypatch.setattr("coreprobe.solvers.miss_probability", spy)
+        return solve
+
+    def test_size_seed_at_zero(self, exact_grid, solve):
         # eps(q0) = 0 where alpha < 2 q0 - n: every probe set meets a
         # surviving core member.
         hits = 0
@@ -600,9 +684,9 @@ class TestRefitEdges:
             for alpha in range(n):
                 eps = [exact_grid[n, alpha, q] for q in range(n + 1)]
                 for target in self.TARGETS_TIGHT:
-                    hits += eps[self._size_seed(n, alpha, target)] == 0
-                    got = min_core_size(n, alpha, target, mode="exact")
+                    got, (_, seed) = solve(min_core_size, n, alpha, target, "exact")
                     assert got.q == _size_scan(eps, target), (n, alpha, target)
+                    hits += eps[seed] == 0
         assert hits > 1000
 
     def test_size_seed_at_one(self, exact_grid, monkeypatch):
@@ -610,11 +694,14 @@ class TestRefitEdges:
         # rounds a value near 1 up to 1 reaches this branch.  Round every
         # value that misses the target up to exactly 1: the answer stays,
         # and every seed that misses gives ln eps = 0.  A seed misses at
-        # loose targets such as 1/2, where q0 is small and rounds down.
+        # loose targets such as 1/2, where it is small and its floor
+        # falls below the answer.
         target = Fraction(1, 2)
+        seeds = []
 
         def rounded(n, alpha, q, mode="auto"):
             got = miss_probability(n, alpha, q, mode)
+            seeds.append(q)
             return got if got.epsilon <= target else replace(got, epsilon=Fraction(1))
 
         monkeypatch.setattr("coreprobe.solvers.miss_probability", rounded)
@@ -622,10 +709,11 @@ class TestRefitEdges:
         for n in range(1, GRID_N + 1):
             for alpha in range(n):
                 eps = [exact_grid[n, alpha, q] for q in range(n + 1)]
-                hits += eps[self._size_seed(n, alpha, target)] > target
+                seeds.clear()
                 got = min_core_size(n, alpha, target, mode="exact")
                 assert got.q == _size_scan(eps, target), (n, alpha)
                 assert got.epsilon_prev == 1
+                hits += eps[seeds[0]] > target
         assert hits > 100
 
     def test_size_targets_within_an_ulp(self, exact_grid):
@@ -656,7 +744,7 @@ class TestRefitEdges:
         assert want == 3164
         assert min_core_size(10_000, 3000, target).q == want
 
-    def test_max_delta_seed_at_zero(self, exact_grid):
+    def test_max_delta_seed_at_zero(self, exact_grid, solve):
         # eps(alpha0) = 0 where alpha0 < 2q - n.
         hits = 0
         c = Fraction(1, 20)
@@ -668,11 +756,12 @@ class TestRefitEdges:
                     want = _max_delta_scan(eps, target, self.HORIZON)
                     if want is None:
                         continue
-                    hits += exact_grid[n, self._alpha_seed(n, q, c, target), q] == 0
-                    assert max_delta(n, q, c, target, "exact") == want, (n, q, target)
+                    got, (seed, _) = solve(max_delta, n, q, c, target, "exact")
+                    assert got == want, (n, q, target)
+                    hits += exact_grid[n, seed, q] == 0
         assert hits > 100
 
-    def test_max_delta_seed_at_one(self, exact_grid):
+    def test_max_delta_seed_at_one(self, exact_grid, solve):
         # eps(alpha0) = 1 where a loose target puts the seed at total
         # turnover, alpha0 = n.
         hits = 0
@@ -685,8 +774,9 @@ class TestRefitEdges:
                     want = _max_delta_scan(eps, target, self.HORIZON)
                     if want is None:
                         continue
-                    hits += self._alpha_seed(n, q, c, target) == n
-                    assert max_delta(n, q, c, target, "exact") == want, (n, q, target)
+                    got, (seed, _) = solve(max_delta, n, q, c, target, "exact")
+                    assert got == want, (n, q, target)
+                    hits += seed == n
         assert hits > 10
 
     def test_max_delta_targets_within_an_ulp(self, exact_grid):
