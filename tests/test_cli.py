@@ -10,17 +10,23 @@ import tracemalloc
 import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
+from unittest import mock
 
+import click
 import numpy as np
 import pytest
+from click.core import ParameterSource
 from click.testing import CliRunner
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from coreprobe import (
     AnalyticComparison, MissProbability, TrialReport, churn_ratio, miss_probability,
     min_core_size, replaced_count,
 )
 from coreprobe.cli import (
-    MAX_SWEEP_POINTS, _csv_cell, _emit_json, _fmt_prob, _rational, main, parse_ratio,
+    MAX_SWEEP_POINTS, _Command, _csv_cell, _emit_json, _fmt_prob, _rational, _Table, main,
+    parse_ratio,
 )
 
 
@@ -823,3 +829,220 @@ class TestHelp:
         result = invoke(runner, "--help")
         assert "infeasible" in result.output
         assert "z-check" in result.output
+
+
+# --- table parse ---------------------------------------------------------------
+
+COMMANDS = {"coreprobe": main, **main.commands}
+# Sample tokens per parameter type: (mostly valid, invalid).
+TYPE_TOKENS = {
+    "integer": (["0", "7", "1000", " 5"], ["-3", "ten", ""]),
+    "ratio": (["30%", "0.3", "1e-3", "static"], ["x%", "1/0", "-"]),
+    "text": (["3,4", "1", "", "-"], []),
+}
+
+
+def _tokens(param):
+    if isinstance(param.type, click.Choice):
+        return list(param.type.choices), ["bogus", "EXACT"]
+    return TYPE_TOKENS[param.type.name]
+
+
+def _fresh_context(command, **settings_):
+    return click.Context(command, info_name=command.name, **settings_)
+
+
+def _outcome(ctx, rest):
+    names = [param.name for param in ctx.command.get_params(ctx)]
+    return (rest, ctx.args, ctx.params,
+            {name: ctx.get_parameter_source(name) for name in names})
+
+
+class _Declined(Exception):
+    pass
+
+
+def _decline(self, ctx, args):
+    raise _Declined
+
+
+def _table_parse(command, args, **settings_):
+    """The table's outcome on a fresh context, or None when it leaves the
+    call to click.  A group is parsed as a command: click.Group only
+    splits off the subcommand after this parse."""
+    ctx = _fresh_context(command, **settings_)
+    with mock.patch.object(click.Command, "parse_args", _decline):
+        try:
+            rest = _Command.parse_args(command, ctx, list(args))
+        except _Declined:
+            return None
+    return _outcome(ctx, rest)
+
+
+def _click_parse(command, args):
+    """click's own parse of ``args`` on a fresh context, or None on an error."""
+    ctx = _fresh_context(command)
+    try:
+        with redirect_stdout(io.StringIO()):
+            rest = click.Command.parse_args(command, ctx, list(args))
+    except (click.UsageError, click.exceptions.Exit):
+        return None
+    return _outcome(ctx, rest)
+
+
+def _piece(draw, param, valid=True):
+    """One parameter's tokens: an option with a value, a flag, or a positional."""
+    if isinstance(param, click.Argument):
+        return [draw(st.sampled_from(_tokens(param)[0]))]
+    opt = draw(st.sampled_from(param.opts))
+    if param.is_flag:
+        return [opt]
+    good, bad = _tokens(param)
+    return [opt, draw(st.sampled_from(good if valid or not bad else good + bad))]
+
+
+@st.composite
+def _calls(draw, command):
+    """Argument lists: options in any order, repeats, positionals, flags,
+    valid and invalid values, and the forms the table declines."""
+    params = command.params
+    if draw(st.booleans()):
+        # Well-formed: every required parameter and some optional ones, once each.
+        chosen = [p for p in params if p.required or draw(st.booleans())]
+        pieces = [_piece(draw, p) for p in chosen]
+    else:
+        stray = [["--"], ["--help"], ["--bogus", "1"], ["-n", "5"], ["-"], ["extra"],
+                 *map(list, main.commands)]
+        pieces = []
+        for _ in range(draw(st.integers(0, 8))):
+            kind = draw(st.sampled_from(["param", "attached", "bare", "stray"]))
+            param = draw(st.sampled_from(params)) if params else None
+            if kind == "stray" or param is None:
+                pieces.append(draw(st.sampled_from(stray)))
+            elif kind == "param" or isinstance(param, click.Argument):
+                pieces.append(_piece(draw, param, valid=False))
+            elif kind == "attached":
+                pieces.append(["=".join(_piece(draw, param, valid=False) + ["1"][:param.is_flag])])
+            else:
+                pieces.append([draw(st.sampled_from(param.opts))])
+    pieces = draw(st.permutations(pieces))
+    return [token for piece in pieces for token in piece]
+
+
+class TestTableParse:
+    """The table parses a well-formed call exactly as click would, and
+    declines everything else, which click then parses itself."""
+
+    @pytest.mark.parametrize("name", list(COMMANDS))
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_declines_or_agrees_with_click(self, name, data):
+        command = COMMANDS[name]
+        args = data.draw(_calls(command))
+        table = _table_parse(command, args)
+        assert table is None or table == _click_parse(command, args)
+
+    @pytest.mark.parametrize("args", [
+        ["size", "--n", "1000", "--p", "99%", "--C", "30%", "--json"],
+        ["size", "--json", "--C", "static", "--mode", "exact", "--epsilon", "1e-3", "--n", "7"],
+        ["sweep", "--n", "100", "q", "--values", "3,4", "--alpha", "5", "--json"],
+        ["sweep", "epsilon", "--values", "1%", "--n", "100", "--C", "static", "--start", "-"],
+        ["table"],
+        ["simulate", "--n", "1000", "--q", "79", "--alpha", "300", "--trials", "32768",
+         "--seed", "12", "--threads", "1", "--fractional-churn", "--check", "--json"],
+        ["lifetime", "--c", "0.1%", "--C", "30%"],
+        ["churn", "--C", "30%", "--delta", "4"],
+    ])
+    def test_takes_well_formed_calls(self, args):
+        command = main.commands[args[0]]
+        table = _table_parse(command, args[1:])
+        assert table is not None and table == _click_parse(command, args[1:])
+
+    def test_group_stops_at_the_subcommand(self):
+        args = ["size", "--n", "1000", "--help"]
+        rest, ctx_args, params, sources = _table_parse(main, args)
+        assert rest == ctx_args == args and params == {}
+        assert sources == {"help": ParameterSource.DEFAULT}
+        assert _table_parse(main, ["--n", "5"]) is None
+
+    def test_defaults_are_cast_once_as_click_casts_them(self):
+        _, _, params, sources = _table_parse(main.commands["simulate"], [
+            "--n", "10", "--q", "2", "--alpha", "1"])
+        assert params["trials"] == 100_000 and params["fractional_churn"] is False
+        assert params["cap_c"] is None and params["delta"] is None
+        assert sources["n"] == ParameterSource.COMMANDLINE
+        assert sources["trials"] == sources["cap_c"] == ParameterSource.DEFAULT
+        command = _Command("c", params=[click.Option(["--x"], type=int, default="5")])
+        assert _table_parse(command, []) == _click_parse(command, [])
+        assert _table_parse(command, [])[2] == {"x": 5}
+
+    @pytest.mark.parametrize("args", [
+        pytest.param(["--help"], id="help"),
+        pytest.param(["--n=1000", "--p", "99%", "--C", "30%"], id="attached-value"),
+        pytest.param(["--", "--n", "1000", "--p", "99%", "--C", "30%"], id="double-dash"),
+        pytest.param(["--n", "1000", "--p", "99%", "--C", "30%", "--bogus"], id="unknown"),
+        pytest.param(["-n", "1000", "--p", "99%", "--C", "30%"], id="short"),
+        pytest.param(["--n", "1", "--n", "1000", "--p", "99%", "--C", "30%"], id="repeated"),
+        pytest.param(["--p", "99%", "--C", "30%", "--n"], id="missing-value"),
+        pytest.param(["--n", "-5", "--p", "99%", "--C", "30%"], id="option-like-value"),
+        pytest.param(["--n", "ten", "--p", "99%", "--C", "30%"], id="bad-parameter"),
+        pytest.param(["--p", "99%", "--C", "30%"], id="missing-required"),
+        pytest.param(["--n", "1000", "--p", "99%", "--C", "30%", "x"], id="extra-argument"),
+    ])
+    def test_declined_calls(self, args):
+        assert _table_parse(main.commands["size"], args) is None
+
+    def test_declined_positional(self):
+        sweep = main.commands["sweep"]
+        assert _table_parse(sweep, ["--n", "100", "--values", "3"]) is None
+        assert _table_parse(sweep, ["z", "--n", "100", "--values", "3"]) is None
+        assert _table_parse(sweep, ["q", "q", "--n", "100", "--values", "3"]) is None
+
+    @pytest.mark.parametrize("settings_", [
+        {"resilient_parsing": True},
+        {"default_map": {"n": "1000"}},
+        {"auto_envvar_prefix": "COREPROBE"},
+        {"token_normalize_func": str.lower},
+        {"help_option_names": ["-h"]},
+    ], ids=lambda s: next(iter(s)))
+    def test_declined_contexts(self, settings_):
+        size, args = main.commands["size"], ["--n", "1000", "--p", "99%", "--C", "30%"]
+        assert _table_parse(size, args) is not None
+        assert _table_parse(size, args, **settings_) is None
+
+    def test_no_args_is_help_is_left_to_click(self):
+        command = _Command("c", params=[click.Option(["--x"])], no_args_is_help=True)
+        assert _table_parse(command, []) is None
+        assert _table_parse(command, ["--x", "1"]) is not None
+
+    @pytest.mark.parametrize("param", [
+        click.Option(["--x"], nargs=2, type=int),
+        click.Option(["--x"], multiple=True),
+        click.Option(["--x/--no-x"]),
+        click.Option(["--x"], callback=lambda ctx, param, value: value),
+        click.Option(["--x"], envvar="X"),
+        click.Option(["--x"], count=True),
+        click.Option(["--x"], prompt=True),
+        click.Option(["--x"], default=lambda: 1),
+        click.Option(["--x"], expose_value=False),
+        click.Option(["+x"]),
+        click.Argument(["x"], nargs=-1),
+    ], ids=["nargs", "multiple", "secondary-opts", "callback", "envvar", "count", "prompt",
+            "callable-default", "hidden-value", "prefix", "variadic-argument"])
+    def test_parameters_only_click_parses_leave_no_table(self, param):
+        command = _Command("c", params=[param])
+        assert _Table.build(command, _fresh_context(command)) is None
+
+    def test_dispatch_skips_clicks_parse(self, monkeypatch):
+        calls = []
+        original = click.Command.parse_args
+        monkeypatch.setattr(click.Command, "parse_args", lambda self, ctx, args: (
+            calls.append(list(args)) or original(self, ctx, args)))
+        out = io.StringIO()
+        with redirect_stdout(out):
+            main.main(["churn", "--C", "30%", "--delta", "10", "--json"], standalone_mode=False)
+        assert calls == [] and json.loads(out.getvalue())["delta"] == 10
+        with redirect_stdout(out):
+            main.main(["churn", "--C=30%", "--delta", "10"], standalone_mode=False)
+        assert calls == [["--C=30%", "--delta", "10"]]
