@@ -20,6 +20,8 @@ from __future__ import annotations
 import argparse
 import sys
 
+import click
+
 from coreprobe import churn_ratio, delta_for_churn
 from coreprobe.cli import parse_ratio
 
@@ -28,6 +30,28 @@ def _log_grid(lo: float, hi: float, points: int) -> list[float]:
     if points == 1:
         return [lo]
     return [lo * (hi / lo) ** (i / (points - 1)) for i in range(points)]
+
+
+def _tokens(text: str) -> list[str]:
+    """The non-empty comma-separated tokens of an option."""
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+def _ratios(parser, flag: str, tokens: list[str], zero_ok: bool = False) -> list[float]:
+    """Ratio tokens of ``flag`` as floats, each parsed as the CLI parses a
+    ratio ('0.1%' or '0.001').  A token that does not parse, or whose
+    value lies outside (0, 1) ([0, 1) where ``zero_ok``), ends the run
+    with a usage error (exit 2)."""
+    values = []
+    for token in tokens:
+        try:
+            value = float(parse_ratio(token))
+        except click.BadParameter:
+            parser.error(f"{flag}: cannot parse ratio {token!r}")
+        if not (0 < value < 1 or zero_ok and value == 0):
+            parser.error(f"{flag}: ratio {token!r} lies outside the domain")
+        values.append(value)
+    return values
 
 
 def growth_rows(rates, delta_max, points):
@@ -41,8 +65,7 @@ def growth_rows(rates, delta_max, points):
 
 def deadline_rows(budgets, c_lo, c_hi, points):
     rows = []
-    for token in budgets:
-        budget = parse_ratio(token)
+    for token, budget in budgets:
         for c in _log_grid(c_lo, c_hi, points):
             result = delta_for_churn(c, budget)
             rows.append(
@@ -79,14 +102,21 @@ def main(argv=None):
     )
     parser.add_argument("--out", default=None, help="write CSV here instead of stdout")
     args = parser.parse_args(argv)
+    if args.points < 1:
+        parser.error(f"--points must be >= 1, got {args.points}")
 
     if args.curve == "growth":
-        rates = [float(tok) for tok in args.c.split(",") if tok.strip()]
+        if args.delta_max < 1:
+            parser.error(f"--delta-max must be >= 1, got {args.delta_max}")
+        rates = _ratios(parser, "--c", _tokens(args.c), zero_ok=True)
         lines = growth_rows(rates, args.delta_max, args.points)
     else:
-        budgets = [tok.strip() for tok in args.budgets.split(",") if tok.strip()]
-        lo, hi = (float(tok) for tok in args.c_range.split(","))
-        lines = deadline_rows(budgets, lo, hi, args.points)
+        tokens = _tokens(args.budgets)
+        budgets = zip(tokens, _ratios(parser, "--budgets", tokens))
+        c_range = _ratios(parser, "--c-range", _tokens(args.c_range))
+        if len(c_range) != 2:
+            parser.error(f"--c-range takes lo,hi, got {args.c_range!r}")
+        lines = deadline_rows(budgets, *c_range, args.points)
 
     text = "\n".join(lines) + "\n"
     if args.out:

@@ -94,14 +94,6 @@ def _ln(x: Probability) -> float:
     return math.log(x)
 
 
-def _ln_epsilon(result: MissProbability) -> float:
-    """ln eps of an evaluation, -inf where eps is 0: ``log_epsilon`` in
-    logspace, from numerator and denominator in exact mode."""
-    if result.log_epsilon is not None:
-        return result.log_epsilon
-    return _ln(result.epsilon) if result.epsilon else -math.inf
-
-
 def _show(target: Probability) -> str:
     """A target as messages write it.  A Fraction below the normal double
     range is given to 6 significant digits, not as a ratio of integers
@@ -183,20 +175,16 @@ def min_core_size(
 
     The miss probability is non-increasing in q, from eps(0) = 1 down to
     eps(n) = 0 (alpha < n), so ``_first_true`` searches (0, n] without
-    evaluating either end.  The paper's asymptote
-    eps ~ exp(-q^2 (1-C) / n) gives the seed
-    q0 = n sqrt(ln(1/epsilon_max) / (n - alpha)), clamped to [1, n].
-    Twice, kappa in ln eps ~ -kappa q^2 is refit to the O(1) estimate
-    est of ln eps at the seed (``_ln_eps_estimate``), which moves it to
-    floor(q0 sqrt(ln epsilon_max / est)): at or just below the answer.
-    eps at that seed q1 is evaluated first: its verdict puts the answer
-    on one side of q1, and its value refits kappa again, so the search
-    starts at ceil(q1 sqrt(ln epsilon_max / ln eps(q1))) on that side
-    (at q1 itself where eps(q1) is 0 or 1).  The estimate and the guess
-    only place the search; the answer and its witnesses come from the
-    monotone test.  Each eps(q) is evaluated at most once, 2 times in
-    all (the witness pair) when q1 lands on the answer or next to it,
-    as at every default ``table`` cell.
+    evaluating either end.  It starts at a seed: the paper's asymptote
+    eps ~ exp(-q^2 (1-C) / n) gives
+    q0 = n sqrt(ln(1/epsilon_max) / (n - alpha)), and kappa in
+    ln eps ~ -kappa q^2 is refit twice to the O(1) estimate est of
+    ln eps there (``_ln_eps_estimate``), which moves it to
+    floor(q0 sqrt(ln epsilon_max / est)) in [1, n]: at or just below
+    the answer.  The seed only places the search; the answer and its
+    witnesses come from the monotone test.  Each eps(q) is evaluated at
+    most once, 2 times in all (the witness pair) at every default
+    ``table`` cell.
     Raises InfeasibleError when alpha = n: every initial node was
     replaced, so no probe can find a core member.
     """
@@ -217,14 +205,7 @@ def min_core_size(
         est = _ln_eps_estimate(n, alpha, seed)
         if -math.inf < est < 0:
             seed = min(max(math.floor(seed * math.sqrt(ln_target / est)), 1), n)
-    lo, hi = (0, seed) if _meets(eps(seed), epsilon_max) else (seed, n)
-    # Refit kappa once more, to the seed's own value.
-    ln_seed = _ln_epsilon(eps(seed))
-    guess = seed
-    if -math.inf < ln_seed < 0:
-        guess = math.ceil(seed * math.sqrt(ln_target / ln_seed))
-    guess = min(max(guess, lo + 1), hi)
-    q = _first_true(lambda q: _meets(eps(q), epsilon_max), guess, lo, hi)
+    q = _first_true(lambda q: _meets(eps(q), epsilon_max), seed, 0, n)
     return CoreSizeResult(q=q, epsilon=eps(q).epsilon, epsilon_prev=eps(q - 1).epsilon)
 
 
@@ -300,15 +281,13 @@ def max_delta(
     0 means even the static case (nothing replaced) misses, which
     raises InfeasibleError; horizon + 1 means every delta up to
     ``horizon`` meets it, which returns a capped result.  The search
-    starts from a guess that costs one evaluation.  The alpha seed is
-    where the mean survivor count q (n - alpha) / n puts a
+    starts where the mean survivor count q (n - alpha) / n puts a
     with-replacement probe at epsilon_max, refit twice to the O(1)
     estimate of ln eps (``_ln_eps_estimate``) under
-    ln eps ~ -kappa (n - alpha).  eps at that seed refits kappa once
-    more, and the refit alpha maps to delta through
-    log1p(-alpha / n) / log1p(-c).  Each eps(alpha) is evaluated at most
-    once, however many deltas share that alpha: about 2.8 times per
-    solve on the benchmark's lifetime queries.
+    ln eps ~ -kappa (n - alpha); that alpha in [1, n] maps to delta
+    through log1p(-alpha / n) / log1p(-c).  Each eps(alpha) is evaluated
+    at most once, however many deltas share that alpha: about 2.5 times
+    per solve on the benchmark's lifetime queries.
     """
     if not 0 < epsilon_max < 1:
         raise ValueError(f"epsilon_max must lie in (0, 1), got {epsilon_max}")
@@ -329,21 +308,15 @@ def max_delta(
 
     # Seed alpha where the mean survivor count s = q (n - alpha) / n
     # gives (1 - s/n)^q = epsilon_max, refit kappa in ln eps ~
-    # -kappa (n - alpha) twice to the estimate and once to the seed's
-    # own value, and guess the first delta whose churn ratio passes the
-    # refit alpha / n.
+    # -kappa (n - alpha) twice to the estimate, and guess the first
+    # delta whose churn ratio passes alpha / n.
     ln_target = _ln(epsilon_max)
-    alpha_top = replaced(horizon)
-    seed = min(max(round(n + n * n * math.expm1(ln_target / q) / q), 1), alpha_top)
+    seed = min(max(round(n + n * n * math.expm1(ln_target / q) / q), 1), n)
     for _ in range(2):
         est = _ln_eps_estimate(n, seed, q)
         if -math.inf < est < 0:
-            seed = min(max(round(n - (n - seed) * ln_target / est), 1), alpha_top)
-    alpha = seed
-    ln_seed = _ln_epsilon(eps(seed))
-    if -math.inf < ln_seed < 0:
-        alpha = n - (n - seed) * ln_target / ln_seed
-    alpha = min(max(alpha, 0), n - 1)
+            seed = min(max(round(n - (n - seed) * ln_target / est), 1), n)
+    alpha = min(seed, n - 1)
     guess = math.floor(math.log1p(-alpha / n) / math.log1p(-float(c))) + 1
     over = _first_true(
         lambda d: not _meets(eps(replaced(d)), epsilon_max),

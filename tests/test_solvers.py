@@ -252,7 +252,7 @@ class TestSolverEvaluations:
         "args,kwargs,budget",
         [
             ((1000, 79, 1e-3, Fraction(1, 100)), {}, 2),
-            ((10_000, 274, 1e-3, Fraction(1, 1000)), {}, 3),
+            ((10_000, 274, 1e-3, Fraction(1, 1000)), {}, 2),
             ((50, 50, 0.01, Fraction(1, 2)), {}, 2),
             ((50, 50, 0.01, Fraction(1, 2)), {"horizon": 100}, 1),
         ],
@@ -261,10 +261,32 @@ class TestSolverEvaluations:
         max_delta(*args, **kwargs)
         assert len(calls) <= budget
 
+    # The 30 cells of the benchmark's lifetime slot: n from 1000 to 10^4,
+    # c of 0.1% and 0.05%, p of 99%, 99.9% and 99.99%, and q 1.5 times
+    # the static core size, as ``perfbench/workloads.py`` builds them.
+    _LIFETIME_CELLS = [
+        (n, c, 1 - p, math.ceil(1.5 * math.sqrt(n * math.log(1 / (1 - float(p))))))
+        for n in (1000, 1500, 2000, 3000, 10_000)
+        for c in (Fraction(1, 1000), Fraction(1, 2000))
+        for p in (Fraction(99, 100), Fraction(999, 1000), Fraction(9999, 10000))
+    ]
+
+    def test_max_delta_lifetime_cells_budget(self, calls):
+        # Aimed by the estimate alone, the 30 cells take 69 evaluations
+        # in all and at most 4 in one cell.
+        total = 0
+        for n, c, target, q in self._LIFETIME_CELLS:
+            calls.clear()
+            max_delta(n, q, c, target)
+            assert len(calls) == len(set(calls)), (n, c, target, q)
+            assert len(calls) <= 4, (n, c, target, q)
+            total += len(calls)
+        assert total <= 69
+
     def test_max_delta_tiny_rate_budget(self, calls):
         # At c = 10^-6 the answer is past 1.6 million time units; one
-        # search in delta, aimed by the estimate and started from the
-        # refit, evaluates only the witness pair.
+        # search in delta, started where the estimate puts the answer,
+        # evaluates only the witness pair.
         got = max_delta(1_000_000, 6000, 1e-6, Fraction(1, 1000))
         assert got.delta == 1_652_031
         assert not got.capped
@@ -650,11 +672,10 @@ def _size_scan(eps, target):
 
 
 class TestRefitEdges:
-    # Both solvers evaluate an aimed seed first and refit the paper's
-    # asymptote to its value.  Where that value is exactly 0 or 1 there
-    # is nothing to refit and the search starts at the seed; near an
-    # exact eps and below the double range only the comparison with the
-    # target decides.  In every case the answer is the linear scan's.
+    # Both solvers start their search at a seed aimed by the O(1)
+    # estimate, and only the comparison with the target decides: where
+    # eps at the seed is exactly 0 or 1, near an exact eps and below the
+    # double range.  In every case the answer is the linear scan's.
     # The seed is the first (n, alpha, q) the solver evaluates, read by
     # a spy on ``miss_probability``.
     TARGETS_TIGHT = (Fraction(1, 10**3), Fraction(1, 10**6), Fraction(1, 10**12))
@@ -693,7 +714,7 @@ class TestRefitEdges:
         # With alpha < n, eps(q) < 1 for every q >= 1, so only a sum that
         # rounds a value near 1 up to 1 reaches this branch.  Round every
         # value that misses the target up to exactly 1: the answer stays,
-        # and every seed that misses gives ln eps = 0.  A seed misses at
+        # and every seed that misses reads exactly 1.  A seed misses at
         # loose targets such as 1/2, where it is small and its floor
         # falls below the answer.
         target = Fraction(1, 2)
